@@ -34,9 +34,10 @@ pub struct Cli {
     /// (binaries honouring this flag exit nonzero on divergence).
     pub oracle: bool,
     /// Resume an interrupted sweep from its journal (`.popk/`): completed
-    /// rows are replayed from the journal, the interrupted row restarts
-    /// from its last checkpoint. Without the flag any stale journal for
-    /// the sweep is discarded and the run starts clean.
+    /// rows are replayed from the journal, every other row (the
+    /// interrupted one included) re-runs from instruction 0. Without the
+    /// flag any stale journal for the sweep is discarded and the run
+    /// starts clean.
     pub resume: bool,
 }
 

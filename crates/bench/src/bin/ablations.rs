@@ -15,7 +15,7 @@
 //!
 //! The sweep is journaled under `.popk/` at section granularity: with
 //! `--resume` a run killed mid-sweep replays its finished sections from
-//! the journal and re-runs only the interrupted one.
+//! the journal and re-runs the others from scratch.
 
 use popk_bench::{ablations_report_journaled, Cli, HostMeter, SweepJournal};
 use std::path::Path;

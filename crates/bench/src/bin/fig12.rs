@@ -6,10 +6,10 @@
 //! [instr_budget] [--json] [--threads N] [--resume]`
 //!
 //! The sweep is journaled under `.popk/`: with `--resume` a run killed
-//! mid-sweep replays its completed rows from the journal and restarts
-//! the interrupted row from its last checkpoint. Fig. 12 shares Fig. 11's
-//! simulation grid but journals under its own name, so the two sweeps
-//! never clobber each other's recovery state.
+//! mid-sweep replays its completed rows from the journal and re-runs
+//! every other row, the interrupted one included, from instruction 0.
+//! Fig. 12 shares Fig. 11's simulation grid but journals under its own
+//! name, so the two sweeps never clobber each other's recovery state.
 
 use popk_bench::{fig12_report_journaled, Cli, HostMeter, SweepJournal};
 use std::path::Path;

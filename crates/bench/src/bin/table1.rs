@@ -9,8 +9,8 @@
 //! reported as a row failure; the process exits nonzero if any remain.
 //!
 //! The sweep is journaled under `.popk/`: with `--resume` a run killed
-//! mid-sweep replays its completed rows from the journal and restarts
-//! the interrupted row from its last checkpoint.
+//! mid-sweep replays its completed rows from the journal and re-runs
+//! every other row, the interrupted one included, from instruction 0.
 
 use popk_bench::{table1_report_journaled, Cli, HostMeter, SweepJournal};
 use std::path::Path;

@@ -2,39 +2,34 @@
 //! binaries.
 //!
 //! A sweep (Table 1, Fig. 11/12, the ablations) is a list of *rows* —
-//! one (workload × config) simulation or one ablation section. The
-//! journal records each row's lifecycle as append-only lines in
-//! `<dir>/<figure>.journal`:
+//! one (workload × config) simulation or one ablation section. Each
+//! row is a pure function of (program, config, budget), so the journal
+//! only has to remember which rows finished and what they produced. It
+//! does so as append-only lines in `<dir>/<figure>.journal`:
 //!
-//! - `open`  — the header: journal schema version, figure, budget, and
+//! - `open` — the header: journal schema version, figure, budget, and
 //!   a free-form `params` string folding in anything else that changes
 //!   results (e.g. the oracle toggle). A journal whose header does not
 //!   match the current invocation is discarded, never resumed.
-//! - `start` — a row's simulation began. A `start` with no later `done`
-//!   marks an *interrupted* row: `--resume` re-runs it, resuming from
-//!   its last on-disk checkpoint when one is present and valid.
-//! - `retry` — a row's first attempt panicked and its recorded state
-//!   (the row checkpoint) was wiped; the retry starts clean. The pool
-//!   only re-attempts a job once this line is durably appended.
-//! - `done`  — the row completed; the line embeds the row's payload
+//! - `done` — the row completed; the line embeds the row's payload
 //!   (e.g. the exact [`SimStats`](popk_core::SimStats) counters), so a
 //!   resumed sweep replays it without re-simulating.
 //!
-//! Every line is *individually* sealed with the same FNV integrity
-//! checksum idiom as the artifact cache, serialized compactly on one
-//! line — so a torn tail (crash mid-append) is detected and replay
-//! simply stops at the first unverifiable line, exactly the prefix that
-//! was durably recorded. Alongside the journal lives a checkpoint
-//! directory `<dir>/<figure>.ckpt/` holding one
-//! [`popk_core::Checkpoint`] file per in-flight row.
+//! A row with no `done` line — interrupted mid-run, or never reached —
+//! re-runs from instruction 0 on `--resume`. Every line is
+//! *individually* sealed with the same FNV integrity checksum idiom as
+//! the artifact cache, serialized compactly on one line — so a torn
+//! tail (crash mid-append) is detected and replay simply stops at the
+//! first unverifiable line, exactly the prefix that was durably
+//! recorded.
 //!
 //! The journal is *advisory*: if the directory is unwritable the sweep
 //! still runs, un-journaled, with a warning (`degraded` mode) — crash
 //! safety must never be the reason a run fails.
 
 use popk_core::hash::fnv1a_64;
-use popk_core::{Checkpoint, Json};
-use std::collections::{HashMap, HashSet};
+use popk_core::Json;
+use std::collections::HashMap;
 use std::fs::File;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -72,14 +67,12 @@ pub fn verify_line(line: &str) -> Option<Json> {
 /// run plus the append handle recording this run's progress.
 ///
 /// Shared by reference across pool workers (appends serialize under an
-/// internal lock); the replayed `done`/`started` maps are immutable
-/// after [`open`](SweepJournal::open).
+/// internal lock); the replayed `done` map is immutable after
+/// [`open`](SweepJournal::open).
 pub struct SweepJournal {
     path: PathBuf,
-    ckpt_dir: PathBuf,
     file: Mutex<Option<File>>,
     done: HashMap<String, Json>,
-    interrupted: HashSet<String>,
 }
 
 impl SweepJournal {
@@ -87,17 +80,13 @@ impl SweepJournal {
     ///
     /// With `resume` set, an existing journal whose header matches
     /// (`figure`, `limit`, `params`) is replayed: completed rows become
-    /// [`completed`](SweepJournal::completed) payloads and rows started
-    /// but never finished become [`interrupted`](SweepJournal::interrupted).
-    /// The journal is then rewritten compacted (header + the replayed
-    /// `done` lines), which also truncates any torn tail. Without
-    /// `resume` — or on any header mismatch — previous state is
-    /// discarded, including stale row checkpoints.
+    /// [`completed`](SweepJournal::completed) payloads. The journal is
+    /// then rewritten compacted (header + the replayed `done` lines),
+    /// which also truncates any torn tail. Without `resume` — or on any
+    /// header mismatch — previous state is discarded.
     pub fn open(dir: &Path, figure: &str, limit: u64, params: &str, resume: bool) -> SweepJournal {
         let path = dir.join(format!("{figure}.journal"));
-        let ckpt_dir = dir.join(format!("{figure}.ckpt"));
         let mut done = HashMap::new();
-        let mut interrupted = HashSet::new();
 
         if resume {
             if let Ok(text) = std::fs::read_to_string(&path) {
@@ -116,30 +105,19 @@ impl SweepJournal {
                         let Some(entry) = verify_line(line) else {
                             break;
                         };
-                        let row = entry
-                            .get("row")
-                            .and_then(Json::as_str)
-                            .unwrap_or_default()
-                            .to_string();
-                        match entry.get("op").and_then(Json::as_str) {
-                            Some("start") | Some("retry") => {
-                                interrupted.insert(row);
-                            }
-                            Some("done") => {
-                                interrupted.remove(&row);
-                                if let Some(payload) = entry.get("payload") {
-                                    done.insert(row, payload.clone());
-                                }
-                            }
-                            _ => {}
+                        // Only `done` lines carry replay state; other ops
+                        // (such as the `start`/`retry` lines of journals
+                        // written by older builds) are skipped.
+                        if entry.get("op").and_then(Json::as_str) != Some("done") {
+                            continue;
+                        }
+                        if let Some(payload) = entry.get("payload") {
+                            let row = entry.get("row").and_then(Json::as_str).unwrap_or_default();
+                            done.insert(row.to_string(), payload.clone());
                         }
                     }
-                } else {
-                    let _ = std::fs::remove_dir_all(&ckpt_dir);
                 }
             }
-        } else {
-            let _ = std::fs::remove_dir_all(&ckpt_dir);
         }
 
         // Rewrite compacted: header plus the surviving done rows. An
@@ -155,10 +133,8 @@ impl SweepJournal {
             .ok();
         let journal = SweepJournal {
             path,
-            ckpt_dir,
             file: Mutex::new(file),
             done,
-            interrupted,
         };
         let mut header = Json::object();
         header.set("op", "open".into());
@@ -211,74 +187,14 @@ impl SweepJournal {
         self.done.get(row)
     }
 
-    /// Whether a previous run started (but never finished) this row.
-    pub fn interrupted(&self, row: &str) -> bool {
-        self.interrupted.contains(row)
-    }
-
-    /// Record that `row`'s simulation is beginning.
-    pub fn record_start(&self, row: &str) {
-        let mut j = Json::object();
-        j.set("op", "start".into());
-        j.set("row", row.into());
-        self.append(j);
-    }
-
-    /// Record that `row` is being re-attempted after a panic: wipe its
-    /// checkpoint (the panicked attempt may have left one mid-write
-    /// semantics cannot vouch for) and durably journal the reset.
-    /// Returns whether the clean state was recorded — the pool's gated
-    /// retry only re-runs the job if it was, so a retry never executes
-    /// from unrecorded state.
-    pub fn record_retry(&self, row: &str) -> bool {
-        let _ = std::fs::remove_file(self.checkpoint_path(row));
-        let mut j = Json::object();
-        j.set("op", "retry".into());
-        j.set("row", row.into());
-        self.append(j);
-        !self.degraded()
-    }
-
-    /// Record that `row` completed with `payload`, and drop its
-    /// now-obsolete checkpoint.
+    /// Record that `row` completed with `payload`.
     pub fn record_done(&self, row: &str, payload: Json) {
         self.append(done_line(row, payload));
-        let _ = std::fs::remove_file(self.checkpoint_path(row));
-    }
-
-    /// Where `row`'s periodic checkpoint lives: a sanitized, collision-
-    /// hashed file name under the sweep's checkpoint directory.
-    pub fn checkpoint_path(&self, row: &str) -> PathBuf {
-        let slug: String = row
-            .chars()
-            .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
-            .take(48)
-            .collect();
-        self.ckpt_dir
-            .join(format!("{slug}-{:08x}.ckpt.json", fnv1a_64(row.as_bytes())))
-    }
-
-    /// Load the checkpoint of an interrupted row. `None` when the row
-    /// was not interrupted, has no checkpoint, or the file is defective
-    /// (truncated, corrupted, stale) — the caller then restarts the row
-    /// from instruction zero, which is always sound.
-    pub fn load_checkpoint(&self, row: &str) -> Option<Checkpoint> {
-        if !self.interrupted(row) {
-            return None;
-        }
-        match Checkpoint::load(&self.checkpoint_path(row)) {
-            Ok(c) => Some(c),
-            Err(popk_core::CheckpointError::Io(_)) => None, // never written
-            Err(e) => {
-                eprintln!("warning: checkpoint for row `{row}` unusable ({e}); restarting row");
-                None
-            }
-        }
     }
 
     /// The sweep completed and its artifact is written: remove the
-    /// journal and every remaining checkpoint. Failure to clean up is
-    /// harmless (a later non-resume open truncates anyway).
+    /// journal. Failure to clean up is harmless (a later non-resume open
+    /// truncates anyway).
     pub fn finish(&self) {
         {
             let mut guard = self
@@ -288,7 +204,6 @@ impl SweepJournal {
             *guard = None;
         }
         let _ = std::fs::remove_file(&self.path);
-        let _ = std::fs::remove_dir_all(&self.ckpt_dir);
     }
 }
 
@@ -330,15 +245,26 @@ mod tests {
     }
 
     #[test]
-    fn resume_replays_done_and_flags_interrupted() {
+    fn resume_replays_done_rows_only() {
         let dir = temp_dir("resume");
         {
             let j = SweepJournal::open(&dir, "t", 1000, "", false);
             assert!(!j.degraded());
-            j.record_start("a");
             j.record_done("a", payload(1));
-            j.record_start("b"); // interrupted: no done line
         }
+        // A journal from an older build may also hold `start`/`retry`
+        // lines; replay skips them.
+        let path = dir.join("t.journal");
+        let mut text = std::fs::read_to_string(&path).unwrap();
+        for op in ["start", "retry"] {
+            let mut line = Json::object();
+            line.set("op", op.into());
+            line.set("row", "b".into());
+            text.push_str(&seal_line(line));
+            text.push('\n');
+        }
+        std::fs::write(&path, text).unwrap();
+
         let j = SweepJournal::open(&dir, "t", 1000, "", true);
         assert_eq!(
             j.completed("a")
@@ -347,8 +273,16 @@ mod tests {
             Some(1)
         );
         assert!(j.completed("b").is_none());
-        assert!(j.interrupted("b"));
-        assert!(!j.interrupted("a"));
+        // The compacted rewrite keeps only the header and the done row.
+        let ops: Vec<String> = std::fs::read_to_string(&path)
+            .unwrap()
+            .lines()
+            .map(|l| {
+                let line = verify_line(l).expect("sealed line");
+                line.get("op").and_then(Json::as_str).unwrap().to_string()
+            })
+            .collect();
+        assert_eq!(ops, ["open", "done"]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -398,37 +332,19 @@ mod tests {
         {
             let j = SweepJournal::open(&dir, "t", 1000, "", false);
             j.record_done("a", payload(1));
-            j.record_start("b");
         }
         let j = SweepJournal::open(&dir, "t", 1000, "", false);
         assert!(j.completed("a").is_none());
-        assert!(!j.interrupted("b"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn retry_wipes_checkpoint_and_reports_durability() {
-        let dir = temp_dir("retry");
-        let j = SweepJournal::open(&dir, "t", 1000, "", false);
-        let ckpt = j.checkpoint_path("row/with/slashes");
-        std::fs::create_dir_all(ckpt.parent().unwrap()).unwrap();
-        std::fs::write(&ckpt, "stale").unwrap();
-        assert!(j.record_retry("row/with/slashes"));
-        assert!(!ckpt.exists(), "retry must wipe the row checkpoint");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn finish_removes_journal_and_checkpoints() {
+    fn finish_removes_journal() {
         let dir = temp_dir("finish");
         let j = SweepJournal::open(&dir, "t", 1000, "", false);
         j.record_done("a", payload(1));
-        let ckpt = j.checkpoint_path("b");
-        std::fs::create_dir_all(ckpt.parent().unwrap()).unwrap();
-        std::fs::write(&ckpt, "x").unwrap();
         j.finish();
         assert!(!dir.join("t.journal").exists());
-        assert!(!ckpt.parent().unwrap().exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -441,21 +357,8 @@ mod tests {
         std::fs::write(&dir, "not a directory").unwrap();
         let j = SweepJournal::open(&dir, "t", 1000, "", false);
         assert!(j.degraded());
-        j.record_start("a");
-        j.record_done("a", payload(1));
-        assert!(
-            !j.record_retry("a"),
-            "degraded journal cannot vouch for a reset"
-        );
+        j.record_done("a", payload(1)); // a no-op, not a failure
+        assert!(j.degraded());
         let _ = std::fs::remove_file(&dir);
-    }
-
-    #[test]
-    fn checkpoint_paths_distinct_for_colliding_slugs() {
-        let dir = temp_dir("paths");
-        let j = SweepJournal::open(&dir, "t", 1000, "", false);
-        // Same sanitized prefix, different rows → hash suffix disambiguates.
-        assert_ne!(j.checkpoint_path("a/b"), j.checkpoint_path("a:b"));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -19,15 +19,12 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
 }
 
-/// A job that panicked on every attempt (see [`try_map_jobs`]).
+/// A job that panicked on all [`JOB_ATTEMPTS`] attempts (see
+/// [`try_map_jobs`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JobFailure {
     /// The final panic payload, as text.
     pub message: String,
-    /// Attempts made: [`JOB_ATTEMPTS`] for an ungated job (the initial
-    /// run plus retries), fewer when a retry gate refused the re-run
-    /// (see [`try_map_jobs_gated`]).
-    pub attempts: u32,
 }
 
 /// Attempts [`try_map_jobs`] makes per job: the initial run plus one
@@ -82,39 +79,15 @@ pub fn try_map_jobs<I: Sync, T: Send>(
     items: &[I],
     f: impl Fn(&I) -> T + Sync,
 ) -> Vec<Result<T, JobFailure>> {
-    try_map_jobs_gated(threads, items, f, |_| true)
-}
-
-/// [`try_map_jobs`] with the retry gated: before a panicked job is
-/// re-attempted, `gate` runs once for it and must return `true`.
-///
-/// A blind retry can double-run a job whose first attempt already
-/// published side effects (a half-written checkpoint, a journal line);
-/// the journaled sweeps gate the retry through
-/// [`crate::journal::SweepJournal::record_retry`], which wipes the
-/// row's recorded state and durably journals the reset — so a retry
-/// only ever executes from a recorded clean slate. A `false` gate
-/// fails the job after its first attempt.
-pub fn try_map_jobs_gated<I: Sync, T: Send>(
-    threads: usize,
-    items: &[I],
-    f: impl Fn(&I) -> T + Sync,
-    gate: impl Fn(&I) -> bool + Sync,
-) -> Vec<Result<T, JobFailure>> {
     map_jobs(threads, items, |item| {
         let mut message = String::new();
-        let mut attempts = 0u32;
-        while attempts < JOB_ATTEMPTS {
-            if attempts > 0 && !gate(item) {
-                break;
-            }
-            attempts += 1;
+        for _ in 0..JOB_ATTEMPTS {
             match catch_unwind(AssertUnwindSafe(|| f(item))) {
                 Ok(v) => return Ok(v),
                 Err(payload) => message = panic_message(payload.as_ref()),
             }
         }
-        Err(JobFailure { message, attempts })
+        Err(JobFailure { message })
     })
 }
 
@@ -190,7 +163,6 @@ mod tests {
             assert_eq!(out[2], Ok(20));
             let failure = out[1].as_ref().expect_err("job 1 panics");
             assert_eq!(failure.message, "poisoned job 1");
-            assert_eq!(failure.attempts, JOB_ATTEMPTS);
             // The healthy jobs ran once; the poisoned one got a retry.
             assert_eq!(attempts[0].load(Ordering::Relaxed), 1, "threads {threads}");
             assert_eq!(
@@ -200,56 +172,5 @@ mod tests {
             );
             assert_eq!(attempts[2].load(Ordering::Relaxed), 1, "threads {threads}");
         }
-    }
-
-    #[test]
-    fn gated_retry_consults_the_gate_before_rerunning() {
-        let items: Vec<usize> = (0..3).collect();
-        let attempts = [
-            AtomicUsize::new(0),
-            AtomicUsize::new(0),
-            AtomicUsize::new(0),
-        ];
-        let gated = AtomicUsize::new(0);
-        // Gate refuses: the panicked job fails after exactly one attempt.
-        let out = try_map_jobs_gated(
-            1,
-            &items,
-            |&i| {
-                attempts[i].fetch_add(1, Ordering::Relaxed);
-                if i == 1 {
-                    panic!("boom");
-                }
-                i
-            },
-            |&i| {
-                assert_eq!(i, 1, "gate runs only for the panicked job");
-                gated.fetch_add(1, Ordering::Relaxed);
-                false
-            },
-        );
-        assert_eq!(out[0], Ok(0));
-        assert_eq!(out[2], Ok(2));
-        let failure = out[1].as_ref().expect_err("job 1 panics");
-        assert_eq!(failure.attempts, 1, "refused gate means no second run");
-        assert_eq!(attempts[1].load(Ordering::Relaxed), 1);
-        assert_eq!(gated.load(Ordering::Relaxed), 1);
-
-        // Gate allows: behaviour matches the ungated retry.
-        attempts[1].store(0, Ordering::Relaxed);
-        let out = try_map_jobs_gated(
-            1,
-            &items,
-            |&i| {
-                attempts[i].fetch_add(1, Ordering::Relaxed);
-                if i == 1 {
-                    panic!("boom");
-                }
-                i
-            },
-            |_| true,
-        );
-        let failure = out[1].as_ref().expect_err("job 1 panics");
-        assert_eq!(failure.attempts, JOB_ATTEMPTS);
     }
 }

@@ -102,9 +102,9 @@ pub fn table1_report_with(limit: u64, threads: usize, oracle: bool) -> Report {
 }
 
 /// [`table1_report_with`] behind a sweep journal (`--resume`):
-/// completed rows replay from recorded counters, interrupted rows
-/// restart from their last checkpoint. The report and artifact are
-/// byte-identical to an uninterrupted run's.
+/// completed rows replay from recorded counters, every other row runs
+/// from instruction 0. The report and artifact are byte-identical to an
+/// uninterrupted run's.
 pub fn table1_report_journaled(
     limit: u64,
     threads: usize,
@@ -444,9 +444,6 @@ fn journaled_section(
             return;
         }
     }
-    if let Some(j) = journal {
-        j.record_start(row);
-    }
     let (t, v) = run();
     if let Some(j) = journal {
         let mut payload = Json::object();
@@ -468,8 +465,8 @@ pub fn ablations_report(limit: u64, threads: usize) -> Report {
 /// [`ablations_report`] behind a sweep journal (`--resume`), at section
 /// granularity: each of the eight sections A–H is one journal row whose
 /// payload carries the section's exact text and artifact value, so a
-/// resumed run replays finished sections and re-runs only the
-/// interrupted one.
+/// resumed run replays finished sections and re-runs the others from
+/// scratch.
 pub fn ablations_report_journaled(
     limit: u64,
     threads: usize,

@@ -6,10 +6,7 @@ use popk_cache::CacheConfig;
 use popk_characterize::{
     drive, BranchReport, BranchStudy, DisambigReport, DisambigStudy, TagMatchReport, TagMatchStudy,
 };
-use popk_core::{
-    simulate, try_simulate, try_simulate_checkpointed, Checkpoint, CheckpointPlan, MachineConfig,
-    Optimizations, SimError, SimStats,
-};
+use popk_core::{simulate, try_simulate, MachineConfig, Optimizations, SimError, SimStats};
 use popk_isa::Program;
 use popk_workloads::{all, by_name, Workload};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -79,65 +76,30 @@ pub(crate) fn try_sim(
 
 // ---- journaled rows --------------------------------------------------------
 
-/// How often a journaled row checkpoints: a handful of snapshots per
-/// run, but never more often than every thousand commits (tiny test
-/// budgets would otherwise spend their time serializing).
-pub(crate) fn checkpoint_interval(limit: u64) -> u64 {
-    (limit / 4).max(1_000)
-}
-
 /// Run one journaled sweep row on the PISA frontend.
 ///
-/// Without a journal this is exactly [`try_sim`]. With one:
-///
-/// - a row the journal replayed as `done` returns its recorded
-///   [`SimStats`] without simulating (the exact-u64 JSON round-trip);
-/// - an interrupted row with a valid checkpoint resumes through it —
-///   the run replays deterministically and cross-verifies the stored
-///   architectural state at the checkpoint's commit count;
-/// - either way the run emits periodic checkpoints to the journal's
-///   per-row path and records `done` (with the full counters) on
-///   success.
-///
-/// A checkpoint that fails identity validation (config or budget
-/// changed between runs) or is defective on disk is discarded and the
-/// row restarts from zero — always sound, never silently wrong.
+/// Without a journal this is exactly [`try_sim`]. With one, a row the
+/// journal replayed as `done` returns its recorded [`SimStats`] without
+/// simulating (the exact-u64 JSON round-trip); any other row runs from
+/// instruction 0 and records `done` (with the full counters) on
+/// success.
 pub(crate) fn journaled_sim(
     journal: Option<&SweepJournal>,
     row: &str,
-    workload: &str,
     program: &Program,
     cfg: &MachineConfig,
     limit: u64,
 ) -> Result<SimStats, SimError> {
-    let Some(j) = journal else {
-        return try_sim(program, cfg, limit);
-    };
-    if let Some(stats) = j.completed(row).and_then(SimStats::from_json) {
+    if let Some(stats) = journal
+        .and_then(|j| j.completed(row))
+        .and_then(SimStats::from_json)
+    {
         return Ok(stats); // replayed, nothing simulated: not metered
     }
-    let resume_from = j.load_checkpoint(row).filter(|c| {
-        c.validate_for("pisa", workload, cfg.fingerprint(), limit)
-            .map_err(|e| eprintln!("warning: checkpoint for row `{row}` not resumable ({e})"))
-            .is_ok()
-    });
-    j.record_start(row);
-    let path = j.checkpoint_path(row);
-    let plan = CheckpointPlan {
-        workload: workload.to_string(),
-        config_hash: cfg.fingerprint(),
-        limit,
-        interval: checkpoint_interval(limit),
-        sink: Some(Box::new(move |c: Checkpoint| {
-            // Persistence is advisory: a failed save costs resume
-            // granularity, not correctness.
-            let _ = c.save(&path);
-        })),
-        resume_from,
-    };
-    let s = try_simulate_checkpointed(program, cfg, limit, plan)?;
-    meter_record(s.committed);
-    j.record_done(row, s.to_json());
+    let s = try_sim(program, cfg, limit)?;
+    if let Some(j) = journal {
+        j.record_done(row, s.to_json());
+    }
     Ok(s)
 }
 
@@ -174,7 +136,7 @@ impl SweepFailure {
             workload,
             config: config.to_string(),
             message: f.message,
-            attempts: f.attempts,
+            attempts: pool::JOB_ATTEMPTS,
         }
     }
 }
@@ -256,9 +218,8 @@ pub fn table1(limit: u64, threads: usize, oracle: bool) -> Vec<Result<Table1Row,
 }
 
 /// [`table1`] behind a sweep journal: completed rows replay from their
-/// recorded counters, interrupted rows restart from their last
-/// checkpoint, and the pool's panic retry is gated through the journal
-/// (see [`crate::journal`]).
+/// recorded counters and every other row runs from instruction 0 (see
+/// [`crate::journal`]).
 pub fn table1_journaled(
     limit: u64,
     threads: usize,
@@ -266,26 +227,20 @@ pub fn table1_journaled(
     journal: Option<&SweepJournal>,
 ) -> Vec<Result<Table1Row, SweepFailure>> {
     let workloads = all();
-    let row_id = |w: &Workload| format!("table1/{}", w.name);
-    let results = pool::try_map_jobs_gated(
-        threads,
-        &workloads,
-        |w| {
-            poison_check(w.name);
-            let p = w.program();
-            let mut cfg = MachineConfig::ideal();
-            cfg.oracle = oracle;
-            journaled_sim(journal, &row_id(w), w.name, &p, &cfg, limit).map(|s| Table1Row {
-                name: w.name,
-                instructions: s.committed,
-                ipc: s.ipc(),
-                pct_loads: s.load_fraction(),
-                pct_stores: s.stores as f64 / s.committed.max(1) as f64,
-                branch_accuracy: s.branch_accuracy(),
-            })
-        },
-        |w| journal.is_none_or(|j| j.record_retry(&row_id(w))),
-    );
+    let results = pool::try_map_jobs(threads, &workloads, |w| {
+        poison_check(w.name);
+        let p = w.program();
+        let mut cfg = MachineConfig::ideal();
+        cfg.oracle = oracle;
+        journaled_sim(journal, &format!("table1/{}", w.name), &p, &cfg, limit).map(|s| Table1Row {
+            name: w.name,
+            instructions: s.committed,
+            ipc: s.ipc(),
+            pct_loads: s.load_fraction(),
+            pct_stores: s.stores as f64 / s.committed.max(1) as f64,
+            branch_accuracy: s.branch_accuracy(),
+        })
+    });
     results
         .into_iter()
         .zip(&workloads)
@@ -395,7 +350,7 @@ pub fn fig11(limit: u64, threads: usize) -> Fig11Data {
 
 /// [`fig11`] behind a sweep journal: each of the 143 (workload ×
 /// config) jobs is a journaled row, so `--resume` skips completed rows
-/// and restarts interrupted ones from their last checkpoint.
+/// and re-runs every other row from instruction 0.
 pub fn fig11_journaled(limit: u64, threads: usize, journal: Option<&SweepJournal>) -> Fig11Data {
     let workloads = all();
     let programs: Vec<Program> = pool::map_jobs(threads, &workloads, Workload::program);
@@ -415,16 +370,11 @@ pub fn fig11_journaled(limit: u64, threads: usize, journal: Option<&SweepJournal
             }
         }
     }
-    let row_id = |name: &str, label: &str| format!("fig11/{name}/{label}");
-    let stats = pool::try_map_jobs_gated(
-        threads,
-        &jobs,
-        |&(name, p, label, cfg)| {
-            poison_check(name);
-            journaled_sim(journal, &row_id(name, label), name, p, &cfg, limit)
-        },
-        |&(name, _, label, _)| journal.is_none_or(|j| j.record_retry(&row_id(name, label))),
-    );
+    let stats = pool::try_map_jobs(threads, &jobs, |&(name, p, label, cfg)| {
+        poison_check(name);
+        let row = format!("fig11/{name}/{label}");
+        journaled_sim(journal, &row, p, &cfg, limit)
+    });
     let outcomes: Vec<Result<SimStats, SweepFailure>> = stats
         .into_iter()
         .zip(&jobs)

@@ -16,7 +16,6 @@
 //!   (see `core/src/oracle.rs`) caught the pipeline retiring an
 //!   architectural value the reference machine disagrees with.
 
-use crate::checkpoint::CheckpointError;
 use crate::config::ConfigError;
 use crate::json::Json;
 use popk_emu::EmuError;
@@ -54,10 +53,6 @@ pub enum SimError {
     /// reaching its instruction budget. Used by long-running hosts
     /// (the `popk serve` daemon) to abandon jobs whose clients are gone.
     Canceled,
-    /// Checkpointed execution failed: an unreadable/corrupt/stale
-    /// checkpoint file, a checkpoint from a different run identity, or a
-    /// resume whose replayed state diverges from the stored snapshot.
-    Checkpoint(CheckpointError),
 }
 
 impl SimError {
@@ -73,7 +68,6 @@ impl SimError {
             SimError::Deadlock(_) => "deadlock",
             SimError::OracleDivergence { .. } => "oracle_divergence",
             SimError::Canceled => "canceled",
-            SimError::Checkpoint(_) => "checkpoint",
         }
     }
 
@@ -107,7 +101,6 @@ impl fmt::Display for SimError {
                  field `{field}` expected {expected:#x}, pipeline retired {got:#x}"
             ),
             SimError::Canceled => write!(f, "simulation canceled"),
-            SimError::Checkpoint(e) => write!(f, "checkpoint error: {e}"),
         }
     }
 }
@@ -123,12 +116,6 @@ impl From<ConfigError> for SimError {
 impl From<EmuError> for SimError {
     fn from(e: EmuError) -> SimError {
         SimError::Emulation(e)
-    }
-}
-
-impl From<CheckpointError> for SimError {
-    fn from(e: CheckpointError) -> SimError {
-        SimError::Checkpoint(e)
     }
 }
 

@@ -31,7 +31,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod checkpoint;
 mod config;
 pub mod error;
 pub mod events;
@@ -46,17 +45,12 @@ pub mod sim;
 mod stats;
 pub mod timeline;
 
-pub use checkpoint::{Checkpoint, CheckpointError, CheckpointPlan, CHECKPOINT_VERSION};
 pub use config::{ConfigError, IsaKind, MachineConfig, Optimizations, PipelineKind};
 pub use error::{DeadlockSnapshot, SimError};
 pub use events::{NullTrace, ReplayReason, StallReason, TraceEvent, TraceSink, VecTrace};
 pub use fault::{FaultKinds, FaultLog, FaultPlan};
 pub use json::{Json, JsonParseError};
 pub use registry::{Counter, StatsRegistry};
-pub use sim::{
-    simulate, try_resume, try_resume_frontend, try_simulate, try_simulate_checkpointed,
-    try_simulate_frontend, try_simulate_frontend_checkpointed, try_simulate_frontend_in,
-    try_simulate_in, Scratch, Simulator,
-};
+pub use sim::{simulate, try_simulate, try_simulate_frontend, Scratch, Simulator};
 pub use stats::SimStats;
 pub use timeline::{render_chart, render_table, InsnTiming, TimelineBuilder};

@@ -35,8 +35,8 @@ impl<I: UopInsn, S: TraceSink<I>> Simulator<S, I> {
             // oracle then re-executes it on the reference machine and
             // aborts the run on any divergence. (The full record is only
             // copied out on these slow paths.)
-            let claim = (self.oracle.is_some() || self.fault.is_some() || self.ckpt.is_some())
-                .then(|| *self.window.rec(0));
+            let claim =
+                (self.oracle.is_some() || self.fault.is_some()).then(|| *self.window.rec(0));
             self.window.pop_front();
             if let Some(mut claim) = claim {
                 if let Some(f) = self.fault.as_mut() {
@@ -45,15 +45,6 @@ impl<I: UopInsn, S: TraceSink<I>> Simulator<S, I> {
                 if let Some(o) = self.oracle.as_mut() {
                     if let Err(e) = o.check(seq, &claim) {
                         self.error = Some(e);
-                        return;
-                    }
-                }
-                // The checkpoint watch re-executes the claim on its own
-                // reference machine (so stored snapshots are verified)
-                // and cross-checks a resumed checkpoint at its boundary.
-                if let Some(w) = self.ckpt.as_mut() {
-                    if let Err(e) = w.advance(&claim) {
-                        self.error = Some(crate::error::SimError::Checkpoint(e));
                         return;
                     }
                 }

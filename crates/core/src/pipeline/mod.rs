@@ -57,8 +57,8 @@ use window::{Window, WindowBufs};
 /// columns (waiter lists included) and the scheduler's calendar-wheel /
 /// LSQ buffers.
 ///
-/// A simulator built through [`Simulator::with_sink_in`] (or the
-/// [`crate::sim::try_simulate_in`] entry point) takes these allocations
+/// A simulator built through [`Simulator::with_sink_in`] (as
+/// [`crate::sim::try_simulate`] does) takes these allocations
 /// instead of making fresh ones, and hands them back through
 /// [`Simulator::reclaim`] when the run finishes — so a sweep driver
 /// running thousands of rows on one thread allocates the hot state
@@ -144,9 +144,6 @@ pub struct Simulator<S = NullTrace, I = Insn> {
     /// Commit-time lockstep checker (built by `try_run` when
     /// `cfg.oracle` is set; `None` costs one branch per retire).
     pub(crate) oracle: Option<crate::oracle::Oracle<I>>,
-    /// Commit-time checkpoint watch (attached via
-    /// [`Simulator::set_checkpoints`]; `None` in normal runs).
-    pub(crate) ckpt: Option<crate::checkpoint::CommitWatch<I>>,
     /// Deterministic fault injector (attached via
     /// [`Simulator::set_fault_plan`]; `None` in normal runs).
     pub(crate) fault: Option<crate::fault::FaultPlan>,
@@ -209,7 +206,6 @@ impl<I: UopInsn, S: TraceSink<I>> Simulator<S, I> {
             policies: PolicySet::from_config(cfg),
             sink,
             oracle: None,
-            ckpt: None,
             fault: None,
             error: None,
             last_commit_cycle: 0,
@@ -245,22 +241,6 @@ impl<I: UopInsn, S: TraceSink<I>> Simulator<S, I> {
     /// architectural or timing state.
     pub fn set_cancel(&mut self, flag: std::sync::Arc<std::sync::atomic::AtomicBool>) {
         self.cancel = Some(flag);
-    }
-
-    /// Attach checkpointed execution per `plan`, sourcing snapshots
-    /// from `frontend`'s [`popk_trace::CheckpointSource`]. Fails before
-    /// any cycle is simulated if the frontend cannot checkpoint or the
-    /// plan resumes from a checkpoint of a different run identity.
-    pub fn set_checkpoints<F>(
-        &mut self,
-        frontend: &F,
-        plan: crate::checkpoint::CheckpointPlan,
-    ) -> Result<(), crate::checkpoint::CheckpointError>
-    where
-        F: popk_trace::Frontend<I>,
-    {
-        self.ckpt = Some(crate::checkpoint::CommitWatch::from_plan(frontend, plan)?);
-        Ok(())
     }
 
     /// Injection counts of the attached fault plan (all-zero when none).

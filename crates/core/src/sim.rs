@@ -43,7 +43,6 @@
 //! [`Simulator::run`], …) wrap it with a
 //! [`PisaFrontend`] built from the program.
 
-use crate::checkpoint::{Checkpoint, CheckpointPlan};
 use crate::config::MachineConfig;
 use crate::error::SimError;
 use crate::events::{NullTrace, TraceSink};
@@ -79,33 +78,24 @@ pub fn simulate(program: &Program, cfg: &MachineConfig, limit: u64) -> SimStats 
 /// Fallible variant of [`simulate`]: validates `cfg`, then runs,
 /// surfacing every failure mode as a structured [`SimError`].
 ///
-/// Reuses a per-thread [`Scratch`] arena; pass your own to
-/// [`try_simulate_in`] to control its lifetime explicitly.
+/// Reuses a per-thread [`Scratch`] arena, returning its buffers when
+/// the run finishes, however it ends.
 pub fn try_simulate(
     program: &Program,
     cfg: &MachineConfig,
     limit: u64,
 ) -> Result<SimStats, SimError> {
-    SCRATCH.with(|s| match s.try_borrow_mut() {
-        Ok(mut scratch) => try_simulate_in(program, cfg, limit, &mut scratch),
-        // Re-entrant call (a sink callback simulating): run unpooled.
-        Err(_) => try_simulate_in(program, cfg, limit, &mut Scratch::new()),
-    })
-}
-
-/// Like [`try_simulate`], reusing the buffer allocations in `scratch`
-/// (they are returned to it when the run finishes, however it ends).
-pub fn try_simulate_in(
-    program: &Program,
-    cfg: &MachineConfig,
-    limit: u64,
-    scratch: &mut Scratch,
-) -> Result<SimStats, SimError> {
     cfg.validate()?;
-    let mut sim = Simulator::with_sink_in(cfg, NullTrace, scratch);
-    let result = sim.try_run(program, limit);
-    sim.reclaim(scratch);
-    result
+    SCRATCH.with(|s| match s.try_borrow_mut() {
+        Ok(mut scratch) => {
+            let mut sim = Simulator::with_sink_in(cfg, NullTrace, &mut scratch);
+            let result = sim.try_run(program, limit);
+            sim.reclaim(&mut scratch);
+            result
+        }
+        // Re-entrant call (a sink callback simulating): run unpooled.
+        Err(_) => Simulator::new(cfg).try_run(program, limit),
+    })
 }
 
 /// Run an arbitrary [`Frontend`] under `cfg` through the ISA-neutral
@@ -116,94 +106,8 @@ where
     I: UopInsn,
     F: Frontend<I>,
 {
-    try_simulate_frontend_in(cfg, frontend, &mut Scratch::new())
-}
-
-/// Like [`try_simulate_frontend`], reusing the buffer allocations in
-/// `scratch`.
-pub fn try_simulate_frontend_in<I, F>(
-    cfg: &MachineConfig,
-    frontend: F,
-    scratch: &mut Scratch<I>,
-) -> Result<SimStats, SimError>
-where
-    I: UopInsn,
-    F: Frontend<I>,
-{
     cfg.validate()?;
-    let mut sim = Simulator::with_sink_in(cfg, NullTrace, scratch);
-    let result = sim.try_run_frontend(frontend);
-    sim.reclaim(scratch);
-    result
-}
-
-/// Like [`try_simulate`], additionally producing (and, when
-/// `plan.resume_from` is set, verifying) checkpoints per `plan`. The
-/// presence of the watch never perturbs timing: it observes the commit
-/// stream the way the oracle does, touching no pipeline state.
-pub fn try_simulate_checkpointed(
-    program: &Program,
-    cfg: &MachineConfig,
-    limit: u64,
-    plan: CheckpointPlan,
-) -> Result<SimStats, SimError> {
-    try_simulate_frontend_checkpointed(cfg, PisaFrontend::new(program, limit), plan)
-}
-
-/// Resume a PISA run from `checkpoint`: deterministically replay from
-/// instruction 0 to the budget (so stats and event digests are
-/// byte-identical to an uninterrupted run by construction) while
-/// cross-verifying the live architectural state at the checkpoint's
-/// commit count against its stored snapshot. `workload` is the caller's
-/// name for the program, checked against the checkpoint's identity.
-pub fn try_resume(
-    program: &Program,
-    cfg: &MachineConfig,
-    limit: u64,
-    workload: &str,
-    checkpoint: Checkpoint,
-) -> Result<SimStats, SimError> {
-    let plan = CheckpointPlan::resume(workload, cfg.fingerprint(), limit, checkpoint);
-    try_simulate_checkpointed(program, cfg, limit, plan)
-}
-
-/// The ISA-neutral analogue of [`try_simulate_checkpointed`]: run any
-/// [`Frontend`] with checkpointing per `plan`. Fails with
-/// [`SimError::Checkpoint`] before simulating a cycle if the frontend
-/// has no [`popk_trace::CheckpointSource`] or the resumed checkpoint
-/// belongs to a different run identity.
-pub fn try_simulate_frontend_checkpointed<I, F>(
-    cfg: &MachineConfig,
-    frontend: F,
-    plan: CheckpointPlan,
-) -> Result<SimStats, SimError>
-where
-    I: UopInsn,
-    F: Frontend<I>,
-{
-    cfg.validate()?;
-    let mut scratch = Scratch::new();
-    let mut sim = Simulator::with_sink_in(cfg, NullTrace, &mut scratch);
-    sim.set_checkpoints(&frontend, plan)?;
-    let result = sim.try_run_frontend(frontend);
-    sim.reclaim(&mut scratch);
-    result
-}
-
-/// The ISA-neutral analogue of [`try_resume`].
-pub fn try_resume_frontend<I, F>(
-    cfg: &MachineConfig,
-    frontend: F,
-    limit: u64,
-    workload: &str,
-    checkpoint: Checkpoint,
-) -> Result<SimStats, SimError>
-where
-    I: UopInsn,
-    F: Frontend<I>,
-{
-    let plan = CheckpointPlan::resume(workload, cfg.fingerprint(), limit, checkpoint);
-    try_simulate_frontend_checkpointed(cfg, frontend, plan)
+    Simulator::with_sink(cfg, NullTrace).try_run_frontend(frontend)
 }
 
 impl Simulator {
@@ -300,17 +204,6 @@ impl<I: UopInsn, S: TraceSink<I>> Simulator<S, I> {
                     }
                 }
             }
-        }
-        // A resumed checkpoint whose commit count was never reached
-        // claims more retirements than this run produces: the stored
-        // state cannot belong to this run. Surface it, don't ignore it.
-        if let Some(k) = self.ckpt.as_ref().and_then(|w| w.pending_verification()) {
-            return Err(SimError::Checkpoint(
-                crate::checkpoint::CheckpointError::Divergence {
-                    committed: k,
-                    field: "committed",
-                },
-            ));
         }
         self.stats.cycles = self.cycle;
         Ok(self.stats)

@@ -10,9 +10,7 @@
 use crate::machine::{Machine, StepEvent};
 use crate::trace::TraceRecord;
 use popk_isa::{Insn, Program};
-use popk_trace::{
-    ArchSnapshot, CheckpointSource, CommitChecker, EmuError, Frontend, LockstepMismatch,
-};
+use popk_trace::{CommitChecker, EmuError, Frontend, LockstepMismatch};
 
 /// A self-contained PISA trace producer: owns its [`Machine`], yields at
 /// most `limit` retired records, stops at program exit, and surfaces a
@@ -66,10 +64,6 @@ impl Frontend<Insn> for PisaFrontend {
     fn checker(&self) -> Option<Box<dyn CommitChecker<Insn>>> {
         Some(Box::new(PisaChecker::new(&self.program)))
     }
-
-    fn checkpoint_source(&self) -> Option<Box<dyn CheckpointSource<Insn>>> {
-        Some(Box::new(PisaChecker::new(&self.program)))
-    }
 }
 
 /// An independent reference machine verifying a commit stream via
@@ -90,12 +84,6 @@ impl PisaChecker {
 impl CommitChecker<Insn> for PisaChecker {
     fn verify(&mut self, claim: &TraceRecord) -> Result<(), LockstepMismatch> {
         self.machine.verify_step(claim)
-    }
-}
-
-impl CheckpointSource<Insn> for PisaChecker {
-    fn snapshot(&self) -> ArchSnapshot {
-        self.machine.snapshot()
     }
 }
 

@@ -119,57 +119,6 @@ impl Machine {
         &self.stats
     }
 
-    /// Capture the architectural state — registers, PC, retirement
-    /// count, resident memory (sorted pages), output channels, exit
-    /// status — as an ISA-neutral [`popk_trace::ArchSnapshot`].
-    ///
-    /// [`ExecStats`] is *not* captured: it is a derived summary of the
-    /// retired stream, not architectural state, and a restored machine
-    /// restarts it from zero.
-    pub fn snapshot(&self) -> popk_trace::ArchSnapshot {
-        popk_trace::ArchSnapshot {
-            icount: self.icount,
-            pc: self.pc,
-            regs: self.regs.to_vec(),
-            pages: self
-                .mem
-                .pages()
-                .into_iter()
-                .map(|(base, data)| popk_trace::SnapshotPage {
-                    base,
-                    data: data.to_vec(),
-                })
-                .collect(),
-            out_ints: self.out_ints.clone(),
-            out_bytes: self.out_bytes.clone(),
-            exited: self.exited,
-        }
-    }
-
-    /// Overwrite this machine's architectural state from a snapshot
-    /// (the inverse of [`Machine::snapshot`]): registers, PC, icount,
-    /// memory, output channels, and exit status are replaced; the
-    /// loaded program and [`ExecStats`] are untouched.
-    ///
-    /// The snapshot must come from a machine running the same program —
-    /// nothing here can validate that; [`Machine::verify_step`] lockstep
-    /// after restore is the proof (see the checkpoint tests).
-    pub fn restore(&mut self, s: &popk_trace::ArchSnapshot) {
-        self.regs = [0u32; Reg::COUNT];
-        for (slot, &v) in self.regs.iter_mut().zip(&s.regs) {
-            *slot = v;
-        }
-        self.pc = s.pc;
-        self.icount = s.icount;
-        self.exited = s.exited;
-        self.mem.clear();
-        for page in &s.pages {
-            self.mem.load(page.base, &page.data);
-        }
-        self.out_ints = s.out_ints.clone();
-        self.out_bytes = s.out_bytes.clone();
-    }
-
     /// Run up to `limit` instructions; returns the exit code if the program
     /// exited within the budget.
     pub fn run(&mut self, limit: u64) -> Result<Option<u32>, EmuError> {
@@ -746,62 +695,5 @@ mod tests {
         assert_eq!(s.cond_branches, 1);
         assert_eq!(s.eq_ne_branches, 1);
         assert!(s.load_fraction() > 0.0 && s.load_fraction() < 1.0);
-    }
-
-    #[test]
-    fn snapshot_restore_locksteps_with_uninterrupted_run() {
-        // A loop with memory traffic: run k steps, snapshot, restore into
-        // a fresh machine, then both machines must retire identical
-        // records forever after.
-        let p = assemble(
-            r#"
-            .text
-            main:
-                li r8, 0          # i
-                li r9, 40         # n
-            loop:
-                sw r8, -64(sp)
-                lw r10, -64(sp)
-                addu r11, r11, r10
-                addiu r8, r8, 1
-                bne r8, r9, loop
-                addu r4, r0, r11
-                li r2, 3
-                syscall
-            "#,
-        )
-        .unwrap();
-        let mut live = Machine::new(&p);
-        for _ in 0..37 {
-            live.step_record().unwrap();
-        }
-        let snap = live.snapshot();
-        assert_eq!(snap.icount, 37);
-        assert!(snap.resident_bytes() > 0);
-
-        let mut resumed = Machine::new(&p);
-        resumed.restore(&snap);
-        assert_eq!(resumed.snapshot().first_difference(&snap), None);
-
-        loop {
-            let a = live.step_record().unwrap();
-            let b = resumed.step_record().unwrap();
-            match (a, b) {
-                (StepEvent::Retired(ra), StepEvent::Retired(rb)) => {
-                    assert_eq!(ra.pc, rb.pc);
-                    assert_eq!(ra.insn, rb.insn);
-                    assert_eq!(ra.src_vals, rb.src_vals);
-                    assert_eq!(ra.results, rb.results);
-                    assert_eq!(ra.ea, rb.ea);
-                    assert_eq!((ra.taken, ra.next_pc), (rb.taken, rb.next_pc));
-                }
-                (StepEvent::Exited(ca), StepEvent::Exited(cb)) => {
-                    assert_eq!(ca, cb);
-                    break;
-                }
-                other => panic!("machines diverged: {other:?}"),
-            }
-        }
-        assert_eq!(live.snapshot().first_difference(&resumed.snapshot()), None);
     }
 }

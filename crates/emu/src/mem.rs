@@ -173,29 +173,6 @@ impl Memory {
     pub fn dump(&self, addr: u32, len: usize) -> Vec<u8> {
         (0..len).map(|i| self.read_u8(addr + i as u32)).collect()
     }
-
-    /// Every resident page as `(base address, bytes)`, sorted by base.
-    ///
-    /// The frame vector's order reflects first-touch history, which two
-    /// equal memory states need not share, so snapshot serialization
-    /// sorts by page number: equal states yield equal page lists.
-    pub fn pages(&self) -> Vec<(u32, &[u8; PAGE_SIZE])> {
-        let mut out: Vec<(u32, &[u8; PAGE_SIZE])> = self
-            .index
-            .iter()
-            .map(|(&pn, &fi)| (pn << PAGE_SHIFT, &*self.frames[fi as usize]))
-            .collect();
-        out.sort_unstable_by_key(|&(base, _)| base);
-        out
-    }
-
-    /// Drop every resident page, returning the memory to its empty
-    /// (all-zero) state.
-    pub fn clear(&mut self) {
-        self.frames.clear();
-        self.index.clear();
-        self.last.set((NO_PAGE, 0));
-    }
 }
 
 #[cfg(test)]
@@ -231,27 +208,6 @@ mod tests {
         m.load(0x2000_0ff0, &data); // spans a page boundary
         assert_eq!(m.dump(0x2000_0ff0, 256), data);
         assert_eq!(m.resident_pages(), 2);
-    }
-
-    #[test]
-    fn pages_sorted_regardless_of_touch_order() {
-        // Two memories with the same contents but opposite touch order
-        // must serialize to the same page list.
-        let mut a = Memory::new();
-        a.write_u32(0x7000_0000, 7);
-        a.write_u32(0x0040_0000, 4);
-        let mut b = Memory::new();
-        b.write_u32(0x0040_0000, 4);
-        b.write_u32(0x7000_0000, 7);
-        let pa: Vec<(u32, Vec<u8>)> = a.pages().iter().map(|&(p, d)| (p, d.to_vec())).collect();
-        let pb: Vec<(u32, Vec<u8>)> = b.pages().iter().map(|&(p, d)| (p, d.to_vec())).collect();
-        assert_eq!(pa, pb);
-        assert_eq!(pa[0].0, 0x0040_0000);
-        assert_eq!(pa[1].0, 0x7000_0000);
-
-        a.clear();
-        assert_eq!(a.resident_pages(), 0);
-        assert_eq!(a.read_u32(0x0040_0000), 0);
     }
 
     #[test]

@@ -9,9 +9,7 @@
 
 use crate::insn::Rv32Insn;
 use crate::machine::{Rv32Machine, Rv32Program, Rv32Step};
-use popk_trace::{
-    ArchSnapshot, CheckpointSource, CommitChecker, EmuError, Frontend, LockstepMismatch, Uop,
-};
+use popk_trace::{CommitChecker, EmuError, Frontend, LockstepMismatch, Uop};
 
 /// A self-contained RV32I trace producer.
 pub struct Rv32Frontend {
@@ -63,10 +61,6 @@ impl Frontend<Rv32Insn> for Rv32Frontend {
     fn checker(&self) -> Option<Box<dyn CommitChecker<Rv32Insn>>> {
         Some(Box::new(Rv32Checker::new(&self.program)))
     }
-
-    fn checkpoint_source(&self) -> Option<Box<dyn CheckpointSource<Rv32Insn>>> {
-        Some(Box::new(Rv32Checker::new(&self.program)))
-    }
 }
 
 /// An independent reference machine verifying a commit stream via
@@ -87,12 +81,6 @@ impl Rv32Checker {
 impl CommitChecker<Rv32Insn> for Rv32Checker {
     fn verify(&mut self, claim: &Uop<Rv32Insn>) -> Result<(), LockstepMismatch> {
         self.machine.verify_step(claim)
-    }
-}
-
-impl CheckpointSource<Rv32Insn> for Rv32Checker {
-    fn snapshot(&self) -> ArchSnapshot {
-        self.machine.snapshot()
     }
 }
 

@@ -13,7 +13,7 @@
 
 use crate::insn::Rv32UopExt;
 use crate::insn::{decode, Rv32Insn, Rv32Op};
-use popk_trace::{ArchSnapshot, EmuError, LockstepMismatch, SnapshotPage, Uop, UopInsn};
+use popk_trace::{EmuError, LockstepMismatch, Uop, UopInsn};
 use std::collections::HashMap;
 
 /// Where workload text is loaded (and the reset PC).
@@ -97,64 +97,6 @@ impl Rv32Machine {
     /// Instructions retired so far.
     pub fn icount(&self) -> u64 {
         self.icount
-    }
-
-    /// Capture the architectural state as an ISA-neutral
-    /// [`ArchSnapshot`]. The sparse word map is coalesced into sorted
-    /// 4 KiB [`SnapshotPage`]s (a page is resident if any word in it
-    /// has a map entry), so equal memory states yield equal snapshots
-    /// regardless of write order. RV32 has no output channels, so
-    /// `out_ints`/`out_bytes` are always empty.
-    pub fn snapshot(&self) -> ArchSnapshot {
-        let mut bases: Vec<u32> = self.mem.keys().map(|&w| (w << 2) & !0xfff).collect();
-        bases.sort_unstable();
-        bases.dedup();
-        let pages = bases
-            .into_iter()
-            .map(|base| {
-                let mut data = vec![0u8; 4096];
-                for off in (0..4096u32).step_by(4) {
-                    if let Some(&w) = self.mem.get(&((base + off) >> 2)) {
-                        data[off as usize..off as usize + 4].copy_from_slice(&w.to_le_bytes());
-                    }
-                }
-                SnapshotPage { base, data }
-            })
-            .collect();
-        ArchSnapshot {
-            icount: self.icount,
-            pc: self.pc,
-            regs: self.regs.to_vec(),
-            pages,
-            out_ints: Vec::new(),
-            out_bytes: Vec::new(),
-            exited: self.exited,
-        }
-    }
-
-    /// Overwrite this machine's architectural state from a snapshot (the
-    /// inverse of [`Rv32Machine::snapshot`]); the loaded program is
-    /// untouched. Every word of every resident page is materialized in
-    /// the map — zeros included — so a snapshot of the restored machine
-    /// reproduces the original page list exactly.
-    pub fn restore(&mut self, s: &ArchSnapshot) {
-        self.regs = [0u32; 32];
-        for (slot, &v) in self.regs.iter_mut().zip(&s.regs) {
-            *slot = v;
-        }
-        self.pc = s.pc;
-        self.icount = s.icount;
-        self.exited = s.exited;
-        self.mem.clear();
-        for page in &s.pages {
-            for (off, chunk) in page.data.chunks_exact(4).enumerate() {
-                let addr = page.base + (off as u32) * 4;
-                self.mem.insert(
-                    addr >> 2,
-                    u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]),
-                );
-            }
-        }
     }
 
     /// Current architectural value of register `r` (x0 reads 0).
@@ -523,56 +465,5 @@ mod tests {
         let mut bad = recs[1];
         bad.pc ^= 4;
         assert_eq!(checker.verify_step(&bad).unwrap_err().field, "pc");
-    }
-
-    #[test]
-    fn snapshot_restore_locksteps_with_uninterrupted_run() {
-        // Loop with stores/loads across two pages: run k instructions,
-        // snapshot, restore into a fresh machine, then both must retire
-        // identical uops to exit.
-        let mut words = vec![
-            asm::addi(5, 0, 0),  // t0 = i
-            asm::addi(6, 0, 50), // t1 = n
-            asm::lui(7, 0x20),   // t2 = heap
-            asm::lui(28, 0x21),  // t3 = heap+4K
-            asm::sw(7, 5, 0),    // loop: [heap] = i
-            asm::lw(29, 7, 0),
-            asm::sw(28, 29, 0),
-            asm::lw(10, 28, 0),
-            asm::addi(5, 5, 1),
-            asm::bne(5, 6, -20), // -> loop
-        ];
-        words.extend(exit_with_a0());
-        let p = Rv32Program::new(words);
-
-        let mut live = Rv32Machine::new(&p);
-        for _ in 0..23 {
-            live.step_record().unwrap();
-        }
-        let snap = live.snapshot();
-        assert_eq!(snap.icount, 23);
-        assert_eq!(snap.pages.len(), 2, "two heap pages resident");
-
-        let mut resumed = Rv32Machine::new(&p);
-        resumed.restore(&snap);
-        assert_eq!(resumed.snapshot().first_difference(&snap), None);
-
-        loop {
-            match (live.step_record().unwrap(), resumed.step_record().unwrap()) {
-                (Rv32Step::Retired(ra), Rv32Step::Retired(rb)) => {
-                    assert_eq!(ra.pc, rb.pc);
-                    assert_eq!(ra.insn, rb.insn);
-                    assert_eq!(ra.src_vals, rb.src_vals);
-                    assert_eq!(ra.results, rb.results);
-                    assert_eq!((ra.ea, ra.taken, ra.next_pc), (rb.ea, rb.taken, rb.next_pc));
-                }
-                (Rv32Step::Exited(ca), Rv32Step::Exited(cb)) => {
-                    assert_eq!(ca, cb);
-                    break;
-                }
-                other => panic!("machines diverged: {other:?}"),
-            }
-        }
-        assert_eq!(live.snapshot().first_difference(&resumed.snapshot()), None);
     }
 }

@@ -348,14 +348,6 @@ pub trait Frontend<I>: Iterator<Item = Result<Uop<I>, EmuError>> {
     /// commit stream, if this frontend can provide one. Call before
     /// iterating: the checker replays from the beginning.
     fn checker(&self) -> Option<Box<dyn CommitChecker<I>>>;
-
-    /// A snapshot-capable reference for checkpoint capture, if this
-    /// frontend supports it (emulation frontends do; captured trace
-    /// files cannot reconstruct architectural state). Call before
-    /// iterating: the source replays from the beginning.
-    fn checkpoint_source(&self) -> Option<Box<dyn CheckpointSource<I>>> {
-        None
-    }
 }
 
 /// Lockstep verification of a timing core's commit stream against an
@@ -364,97 +356,6 @@ pub trait CommitChecker<I> {
     /// Verify one retirement claim against the reference, advancing it
     /// by one instruction.
     fn verify(&mut self, claim: &Uop<I>) -> Result<(), LockstepMismatch>;
-}
-
-/// One contiguous run of resident memory bytes in an [`ArchSnapshot`].
-///
-/// PISA snapshots emit one page per resident 4 KiB frame; RV32 snapshots
-/// coalesce adjacent resident words. Pages are sorted by `base` and
-/// non-overlapping, so two snapshots of the same state compare equal.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SnapshotPage {
-    /// First byte address covered by this page.
-    pub base: u32,
-    /// The bytes, in address order.
-    pub data: Vec<u8>,
-}
-
-/// A complete architectural snapshot of a functional machine at an
-/// instruction boundary: everything needed to re-seed the machine at
-/// that position, in a deterministic (sorted, canonical) layout so that
-/// snapshot equality is state equality.
-///
-/// The snapshot is ISA-neutral by construction — registers as an
-/// indexed array, memory as sorted byte runs — with the PISA output
-/// channels (`out_ints`/`out_bytes`) carried along because they are
-/// architectural state a resumed run must reproduce. Microarchitectural
-/// state (caches, predictors, window) is deliberately absent: see
-/// `popk-core`'s checkpoint module for how resume recovers timing state
-/// deterministically.
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
-pub struct ArchSnapshot {
-    /// Instructions retired when the snapshot was taken.
-    pub icount: u64,
-    /// Next PC to execute.
-    pub pc: u32,
-    /// Architectural register file, index order (32 entries for RV32,
-    /// `Reg::COUNT` for PISA).
-    pub regs: Vec<u32>,
-    /// Resident memory, as sorted non-overlapping byte runs.
-    pub pages: Vec<SnapshotPage>,
-    /// PISA `print_int` output channel (empty for ISAs without one).
-    pub out_ints: Vec<i32>,
-    /// PISA `print_string` output channel (empty for ISAs without one).
-    pub out_bytes: Vec<u8>,
-    /// Exit code, if the program has exited.
-    pub exited: Option<u32>,
-}
-
-impl ArchSnapshot {
-    /// Total resident memory bytes captured.
-    pub fn resident_bytes(&self) -> usize {
-        self.pages.iter().map(|p| p.data.len()).sum()
-    }
-
-    /// Compare against another snapshot, naming the first differing
-    /// component (`"icount"`, `"pc"`, `"regs"`, `"pages"`, `"out_ints"`,
-    /// `"out_bytes"`, `"exited"`) or `None` if identical.
-    pub fn first_difference(&self, other: &ArchSnapshot) -> Option<&'static str> {
-        if self.icount != other.icount {
-            return Some("icount");
-        }
-        if self.pc != other.pc {
-            return Some("pc");
-        }
-        if self.regs != other.regs {
-            return Some("regs");
-        }
-        if self.pages != other.pages {
-            return Some("pages");
-        }
-        if self.out_ints != other.out_ints {
-            return Some("out_ints");
-        }
-        if self.out_bytes != other.out_bytes {
-            return Some("out_bytes");
-        }
-        if self.exited != other.exited {
-            return Some("exited");
-        }
-        None
-    }
-}
-
-/// A [`CommitChecker`] that can additionally capture the reference
-/// machine's architectural state — the capture side of checkpointing.
-///
-/// The timing core advances the source one instruction per retirement
-/// (through [`CommitChecker::verify`], which cross-checks for free) and
-/// snapshots it at checkpoint boundaries, so a checkpoint is a *verified*
-/// functional snapshot at an exact commit count.
-pub trait CheckpointSource<I>: CommitChecker<I> {
-    /// Capture the reference machine's current architectural state.
-    fn snapshot(&self) -> ArchSnapshot;
 }
 
 #[cfg(test)]

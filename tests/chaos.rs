@@ -451,8 +451,10 @@ const SWEEP_LIMIT: u64 = 200_000;
 
 /// Child-process helper (self-exec trick: sweep binaries are in the
 /// bench crate, so the kill-9 e2e re-runs THIS test binary with
-/// `POPK_SWEEP_DIR` set to act as the sweep process). A no-op under a
-/// normal `cargo test`.
+/// `POPK_SWEEP_DIR` set to act as the sweep process). Next to its
+/// artifact it writes `jobs.txt`: how many rows this process simulated
+/// (the process-wide sweep meter), so the parent can tell replayed rows
+/// from re-run ones. A no-op under a normal `cargo test`.
 #[test]
 fn helper_run_table1_sweep() {
     let Ok(dir) = std::env::var("POPK_SWEEP_DIR") else {
@@ -471,6 +473,8 @@ fn helper_run_table1_sweep() {
     assert_eq!(rep.failures, 0);
     rep.artifact.write_in(&dir).expect("artifact written");
     std::fs::write(dir.join("report.txt"), &rep.text).expect("report written");
+    let (jobs, _) = popk_bench::runners::meter_snapshot();
+    std::fs::write(dir.join("jobs.txt"), jobs.to_string()).expect("job count written");
 }
 
 fn spawn_sweep(dir: &std::path::Path, resume: bool) -> std::process::Child {
@@ -493,6 +497,12 @@ fn sweep_outputs(dir: &std::path::Path) -> (String, String) {
     )
 }
 
+/// The number of rows the last sweep process in `dir` simulated.
+fn sweep_jobs(dir: &std::path::Path) -> u64 {
+    let text = std::fs::read_to_string(dir.join("jobs.txt")).expect("job count");
+    text.parse().expect("job count is an integer")
+}
+
 #[test]
 fn kill9_mid_sweep_then_resume_reproduces_the_clean_artifact() {
     let base = std::env::temp_dir().join(format!("popk-chaos-{}-kill9", std::process::id()));
@@ -506,14 +516,20 @@ fn kill9_mid_sweep_then_resume_reproduces_the_clean_artifact() {
     let status = spawn_sweep(&clean_dir, false).wait().expect("clean run");
     assert!(status.success(), "clean sweep failed");
     let clean = sweep_outputs(&clean_dir);
+    let rows = sweep_jobs(&clean_dir);
+    assert_eq!(rows, 11, "the clean run simulates every Table 1 row");
 
-    // Crash run: SIGKILL the sweep once its journal shows work started.
+    // Crash run: SIGKILL the sweep once its journal holds a sealed row.
+    // The journal holds only the `open` header and `done` lines, so a
+    // verified second line means at least one row finished.
     let mut child = spawn_sweep(&crash_dir, false);
     let journal_path = crash_dir.join("wal").join("table1.journal");
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
-        if std::fs::read_to_string(&journal_path).is_ok_and(|t| t.lines().count() > 1) {
-            break; // header + at least one row line: mid-sweep
+        let row_done = std::fs::read_to_string(&journal_path)
+            .is_ok_and(|t| t.lines().nth(1).and_then(journal::verify_line).is_some());
+        if row_done {
+            break; // header + at least one done row: mid-sweep
         }
         if child.try_wait().expect("try_wait").is_some() {
             break; // finished before we could kill it — still a valid resume test
@@ -528,11 +544,16 @@ fn kill9_mid_sweep_then_resume_reproduces_the_clean_artifact() {
     // the race and finished cleanly, this degenerates to replay-only).
     let killed_mid_run = !crash_dir.join("BENCH_table1.json").exists();
 
-    // Resume: completed rows replay from the journal, the interrupted
-    // row restarts (from its checkpoint when one landed).
+    // Resume: completed rows replay from the journal; every other row,
+    // the interrupted one included, re-runs from instruction 0.
     let status = spawn_sweep(&crash_dir, true).wait().expect("resume run");
     assert!(status.success(), "resumed sweep failed");
     let resumed = sweep_outputs(&crash_dir);
+    let rerun = sweep_jobs(&crash_dir);
+    assert!(
+        rerun < rows,
+        "the resumed sweep re-simulated {rerun} of {rows} rows: nothing was replayed"
+    );
 
     assert_eq!(
         resumed.0, clean.0,

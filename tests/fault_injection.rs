@@ -11,7 +11,8 @@
 //! structured divergence). Nothing panics either way.
 
 use popk::core::{
-    try_simulate, FaultKinds, FaultPlan, MachineConfig, SimError, SimStats, Simulator,
+    try_simulate, FaultKinds, FaultPlan, MachineConfig, Optimizations, SimError, SimStats,
+    Simulator,
 };
 use popk::isa::Program;
 
@@ -44,20 +45,41 @@ fn run_with_faults(
     (result, sim.fault_log())
 }
 
+/// Budget of the Fig. 11 ladder runs in the oracle lockstep test.
+const LADDER_LIMIT: u64 = 5_000;
+
 #[test]
 fn oracle_lockstep_is_clean_across_machines() {
+    let check = |name: &str, label: &str, p: &Program, mut cfg: MachineConfig, limit: u64| {
+        cfg.oracle = true;
+        let s = try_simulate(p, &cfg, limit)
+            .unwrap_or_else(|e| panic!("{name} on {label}: oracle diverged: {e}"));
+        assert!(s.committed > 0, "{name} on {label}");
+    };
     for name in ["bzip", "gcc", "twolf"] {
         let p = program(name);
-        for mut cfg in [
-            MachineConfig::ideal(),
-            MachineConfig::simple2(),
-            MachineConfig::slice2_full(),
-            MachineConfig::slice4_full(),
+        for (label, cfg) in [
+            ("ideal", MachineConfig::ideal()),
+            ("simple2", MachineConfig::simple2()),
+            ("slice2_full", MachineConfig::slice2_full()),
+            ("slice4_full", MachineConfig::slice4_full()),
         ] {
-            cfg.oracle = true;
-            let s = try_simulate(&p, &cfg, LIMIT)
-                .unwrap_or_else(|e| panic!("{name}: oracle diverged: {e}"));
-            assert!(s.committed > 0, "{name}");
+            check(name, label, &p, cfg, LIMIT);
+        }
+    }
+    // The rows of the Fig. 11 sweep: every workload's full-size program
+    // on the ideal machine and on both slicings at each cumulative
+    // optimization level.
+    let mut ladder = vec![("ideal".to_string(), MachineConfig::ideal())];
+    for level in 0..=5 {
+        let opts = Optimizations::level(level);
+        ladder.push((format!("slice2-{level}"), MachineConfig::slice2(opts)));
+        ladder.push((format!("slice4-{level}"), MachineConfig::slice4(opts)));
+    }
+    for w in popk::workloads::all() {
+        let p = w.program();
+        for (label, cfg) in &ladder {
+            check(w.name, label, &p, *cfg, LADDER_LIMIT);
         }
     }
 }
