@@ -36,7 +36,7 @@ use popk_workloads::by_name;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -49,8 +49,10 @@ use std::time::Duration;
 /// incompatible request/response shape change.
 pub const PROTOCOL_VERSION: u64 = 1;
 
-/// How often idle loops (accept, worker receive, connection read) check
-/// the shutdown flag.
+/// How often the loops that still poll check the shutdown flag: the
+/// connection read, the worker receive and the drain monitor. The accept
+/// loop blocks in `accept` (woken by [`Shared::stop`]) and waits `POLL`
+/// only after an accept error, so a full file table does not spin it.
 const POLL: Duration = Duration::from_millis(50);
 
 /// Server construction parameters.
@@ -343,9 +345,15 @@ struct Shared {
     /// inflight (attach) or, once absent, fully readable from the cache.
     inflight: Mutex<HashMap<String, Arc<Job>>>,
     journal: ServeJournal,
+    /// Raised only through [`Shared::stop`], which also wakes the accept
+    /// loop.
     shutdown: AtomicBool,
+    /// Where [`Shared::stop`] connects to wake the blocked accept loop:
+    /// the listener's address, with an unspecified IP replaced by the
+    /// loopback address of its family.
+    wake_addr: SocketAddr,
     /// Draining: new submits are rejected, queued work keeps running; a
-    /// monitor thread flips [`Shared::shutdown`] once nothing is inflight.
+    /// monitor thread calls [`Shared::stop`] once nothing is inflight.
     draining: AtomicBool,
     /// The cache directory failed its startup writability probe: the
     /// daemon serves cache-less (every job re-simulates) with a warning
@@ -364,6 +372,19 @@ struct Shared {
     recovered: AtomicU64,
 }
 
+impl Shared {
+    /// Stop the server: raise the shutdown flag, then make one loopback
+    /// connect so the accept loop returns from its blocking `accept` and
+    /// sees the flag. Every stop path (`Server::shutdown`, the `shutdown`
+    /// op, the drain monitor) goes through here; only the first call
+    /// connects.
+    fn stop(&self) {
+        if !self.shutdown.swap(true, Ordering::Relaxed) {
+            let _ = TcpStream::connect(self.wake_addr);
+        }
+    }
+}
+
 // ---- the server ------------------------------------------------------------
 
 /// A running `popk serve` daemon: accept loop plus worker pool.
@@ -379,7 +400,6 @@ impl Server {
     /// [`local_addr`](Server::local_addr)).
     pub fn start(cfg: ServeConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let (tx, rx) = mpsc::sync_channel(cfg.queue_capacity.max(1));
         let cache_degraded = !cache_dir_writable(&cfg.cache_dir);
@@ -397,6 +417,7 @@ impl Server {
             inflight: Mutex::new(HashMap::new()),
             journal,
             shutdown: AtomicBool::new(false),
+            wake_addr: loopback(addr),
             draining: AtomicBool::new(false),
             cache_degraded,
             queue_capacity: cfg.queue_capacity.max(1),
@@ -437,16 +458,32 @@ impl Server {
     /// Ask every server thread to stop. Returns immediately; pair with
     /// [`join`](Server::join) to wait for them.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::Relaxed);
+        self.shared.stop();
     }
 
-    /// Wait for the accept loop and workers to exit (after
-    /// [`shutdown`](Server::shutdown), within one poll interval).
+    /// Wait for the accept loop and workers to exit. After
+    /// [`shutdown`](Server::shutdown) the accept loop exits at once and
+    /// the workers once the queue is empty, so this returns within one
+    /// poll interval of the last job finishing, whatever the number of
+    /// workers.
     pub fn join(self) {
         for t in self.threads {
             let _ = t.join();
         }
     }
+}
+
+/// `addr` with an unspecified IP (`0.0.0.0`, `[::]`) replaced by the
+/// loopback address of its family, so a wake connect reaches a listener
+/// bound to every interface.
+fn loopback(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
 }
 
 /// Can we actually persist artifacts under `dir`? Probed once at
@@ -524,7 +561,7 @@ fn recover_jobs(shared: &Arc<Shared>, pending: &[Json]) {
 }
 
 /// The drain monitor: once draining starts, wait for the queue and
-/// inflight map to empty, then flip the real shutdown flag.
+/// inflight map to empty, then stop the server.
 fn drain_monitor(shared: &Arc<Shared>) {
     while !shared.shutdown.load(Ordering::Relaxed) {
         let idle = shared.queue_depth.load(Ordering::Relaxed) == 0
@@ -534,21 +571,27 @@ fn drain_monitor(shared: &Arc<Shared>) {
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
                 .is_empty();
         if idle {
-            shared.shutdown.store(true, Ordering::Relaxed);
+            shared.stop();
             return;
         }
         std::thread::sleep(POLL);
     }
 }
 
+/// Serve each connection on its own thread as soon as it is accepted.
+/// Checks the flag after every return from `accept`, so the wake connect
+/// of [`Shared::stop`] ends the loop without being served.
 fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
-    while !shared.shutdown.load(Ordering::Relaxed) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if shared.shutdown.load(Ordering::Relaxed) {
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 let shared = shared.clone();
                 std::thread::spawn(move || handle_conn(&shared, stream));
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(POLL),
             Err(_) => std::thread::sleep(POLL),
         }
     }
@@ -557,6 +600,10 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
 // ---- per-connection request handling ---------------------------------------
 
 fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
+    // Every response line leaves as soon as it is written: with Nagle on,
+    // a `result` written right after `accepted` would wait for the
+    // client's delayed ACK.
+    let _ = stream.set_nodelay(true);
     // Short read timeouts let the thread notice server shutdown while
     // idle; a timed-out `read_line` keeps its partial bytes in `line`,
     // so slow writers still get whole lines handled.
@@ -644,7 +691,7 @@ fn handle_line(shared: &Arc<Shared>, conn: &Arc<Conn>, line: &str) {
                     std::thread::spawn(move || drain_monitor(&shared));
                 }
             } else {
-                shared.shutdown.store(true, Ordering::Relaxed);
+                shared.stop();
             }
         }
         Some(other) => send_error(conn, &tag, "bad_request", &format!("unknown op `{other}`")),
@@ -967,24 +1014,29 @@ fn stats_json(shared: &Shared, tag: &Option<String>) -> Json {
 
 // ---- workers ---------------------------------------------------------------
 
-fn worker_loop(shared: &Arc<Shared>, rx: &Arc<Mutex<Receiver<Arc<Job>>>>) {
+/// Run queued jobs until shutdown. The flag is checked under the
+/// receiver lock before blocking: once it is up, a worker takes only
+/// what is already queued, so after a plain `shutdown` queued jobs still
+/// run, and the workers do not wait out each other's receive in turn.
+fn worker_loop(shared: &Arc<Shared>, rx: &Mutex<Receiver<Arc<Job>>>) {
     loop {
-        let msg = {
+        let job = {
             let rx = rx.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            rx.recv_timeout(Duration::from_millis(100))
-        };
-        match msg {
-            Ok(job) => {
-                shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                run_job(shared, &job);
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                if shared.shutdown.load(Ordering::Relaxed) {
-                    break;
+            if shared.shutdown.load(Ordering::Relaxed) {
+                match rx.try_recv() {
+                    Ok(job) => job,
+                    Err(_) => break,
+                }
+            } else {
+                match rx.recv_timeout(POLL) {
+                    Ok(job) => job,
+                    Err(RecvTimeoutError::Timeout) => continue,
+                    Err(RecvTimeoutError::Disconnected) => break,
                 }
             }
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
+        };
+        shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
+        run_job(shared, &job);
     }
 }
 
@@ -1178,9 +1230,11 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connect to a running server.
+    /// Connect to a running server, with Nagle's algorithm off so each
+    /// request line leaves as soon as it is sent.
     pub fn connect(addr: &str) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         Ok(Client {
             reader: BufReader::new(stream),
@@ -1278,5 +1332,27 @@ impl Client {
             }
             seen.push(j);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn client_sockets_disable_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind a loopback port");
+        let addr = listener.local_addr().expect("bound address").to_string();
+        let client = Client::connect(&addr).expect("connect");
+        assert!(matches!(client.writer.nodelay(), Ok(true)));
+        assert!(matches!(client.reader.get_ref().nodelay(), Ok(true)));
+    }
+
+    #[test]
+    fn wake_address_of_an_unspecified_bind_is_loopback() {
+        let wake = |a: &str| loopback(a.parse().expect("socket address")).to_string();
+        assert_eq!(wake("0.0.0.0:4650"), "127.0.0.1:4650");
+        assert_eq!(wake("[::]:4650"), "[::1]:4650");
+        assert_eq!(wake("10.1.2.3:4650"), "10.1.2.3:4650");
     }
 }

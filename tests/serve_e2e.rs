@@ -1,7 +1,8 @@
 //! End-to-end tests of the `popk serve` daemon: cache-hit byte
 //! identity, cache robustness against corrupted entries, single-flight
-//! deduplication of concurrent submitters, and structured failure
-//! paths (panic, deadlock, backpressure) that leave the daemon serving.
+//! deduplication of concurrent submitters, structured failure paths
+//! (panic, deadlock, backpressure) that leave the daemon serving,
+//! request latency off the TCP transport floor, and the stop paths.
 //!
 //! Each test boots a real server on an ephemeral port with a private
 //! cache directory and talks to it over TCP through the line-JSON
@@ -10,6 +11,8 @@
 use popk_bench::{set_poisoned_workload, Client, ServeConfig, Server};
 use popk_core::Json;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 /// A server on an ephemeral port with a fresh temp cache dir, plus the
 /// dir (removed on drop).
@@ -399,4 +402,104 @@ fn full_queue_rejects_with_backpressure() {
     assert!(rejected >= 4, "full queue must reject: {outcomes:?}");
     assert!(completed >= 1, "accepted jobs still finish: {outcomes:?}");
     assert_eq!(rejected + completed, 6);
+}
+
+fn median_ms(mut samples: Vec<Duration>) -> f64 {
+    samples.sort();
+    samples[samples.len() / 2].as_secs_f64() * 1e3
+}
+
+/// Cache hits and fresh connections cost well under a millisecond on
+/// loopback. The 10 ms bound sits far below the two transport floors a
+/// regression would bring back: the client's delayed ACK (about 40 ms),
+/// which a daemon with Nagle's algorithm on waits for before sending
+/// `result` after `accepted`, and the interval of an accept loop that
+/// polls.
+#[test]
+fn hits_and_connects_are_off_the_transport_floor() {
+    let ts = TestServer::start("latency", |_| {});
+    let mut client = ts.connect();
+    let req = submit_req("gzip", "slice2", 20_000, "hot");
+    let (fresh, _) = submit(&mut client, &req);
+    assert!(!is_cached(&fresh), "{fresh}");
+
+    let hits = (0..21)
+        .map(|_| {
+            let t = Instant::now();
+            let (hit, _) = submit(&mut client, &req);
+            let took = t.elapsed();
+            assert!(is_cached(&hit), "{hit}");
+            took
+        })
+        .collect();
+    let mut ping = Json::object();
+    ping.set("op", "ping".into());
+    let connects = (0..11)
+        .map(|_| {
+            let t = Instant::now();
+            let pong = ts.connect().request(&ping).expect("pong");
+            let took = t.elapsed();
+            assert_eq!(response_type(&pong), "pong", "{pong}");
+            took
+        })
+        .collect();
+
+    let (hit_ms, connect_ms) = (median_ms(hits), median_ms(connects));
+    assert!(hit_ms < 10.0, "cache hit median {hit_ms:.2} ms");
+    assert!(
+        connect_ms < 10.0,
+        "connect + ping median {connect_ms:.2} ms"
+    );
+}
+
+/// Join `server` on a helper thread, failing the test if it is still
+/// running after `limit`: a stop that never woke the blocked accept loop
+/// would otherwise hang `join` for ever.
+fn join_within(server: Server, limit: Duration) {
+    let (done, joined) = mpsc::channel();
+    std::thread::spawn(move || {
+        server.join();
+        let _ = done.send(());
+    });
+    assert!(
+        joined.recv_timeout(limit).is_ok(),
+        "server still running {limit:?} after it was stopped"
+    );
+}
+
+#[test]
+fn shutdown_op_stops_the_server() {
+    let mut ts = TestServer::start("stop-op", |_| {});
+    let server = ts.server.take().expect("server running");
+    let addr = server.local_addr().to_string();
+    let mut client = Client::connect(&addr).expect("client connects");
+    let mut req = Json::object();
+    req.set("op", "shutdown".into());
+    let ack = client.request(&req).expect("shutdown ack");
+    assert_eq!(response_type(&ack), "shutdown", "{ack}");
+    assert_eq!(ack.get("draining").and_then(Json::as_bool), Some(false));
+
+    // Generous: only a missed wake comes near it.
+    join_within(server, Duration::from_secs(10));
+    assert!(
+        Client::connect(&addr).is_err(),
+        "a stopped server refuses connections"
+    );
+}
+
+/// `Server::shutdown` wakes an accept loop that never accepted anything,
+/// and the workers stop together: their receive timeouts do not queue
+/// up behind one another, so 8 workers stop as fast as 1.
+#[test]
+fn server_shutdown_stops_a_never_connected_server_whatever_its_worker_count() {
+    let mut ts = TestServer::start("stop-idle", |cfg| cfg.workers = 8);
+    let server = ts.server.take().expect("server running");
+    let addr = server.local_addr().to_string();
+
+    server.shutdown();
+    join_within(server, Duration::from_millis(500));
+    assert!(
+        Client::connect(&addr).is_err(),
+        "a stopped server refuses connections"
+    );
 }
