@@ -255,41 +255,36 @@ pub fn table1_journaled(
 // ---- Fig. 2 ---------------------------------------------------------------
 
 /// Reproduce Fig. 2 for the named benchmarks (paper: bzip and gcc),
-/// 32-entry unified LSQ.
+/// 32-entry unified LSQ, one pool job per benchmark.
 pub fn fig2(names: &[&str], limit: u64) -> Vec<(String, DisambigReport)> {
-    names
-        .iter()
-        .map(|name| {
-            let w = by_name(name).unwrap_or_else(|| panic!("unknown workload {name}"));
-            let p = w.program();
-            let mut study = DisambigStudy::new(32);
-            drive_counted(&p, limit, &mut [&mut study]);
-            (name.to_string(), study.report())
-        })
-        .collect()
+    pool::map_jobs(pool::default_threads(), names, |name| {
+        let w = by_name(name).unwrap_or_else(|| panic!("unknown workload {name}"));
+        let p = w.program();
+        let mut study = DisambigStudy::new(32);
+        drive_counted(&p, limit, &mut [&mut study]);
+        (name.to_string(), study.report())
+    })
 }
 
 // ---- Fig. 4 ---------------------------------------------------------------
 
 /// Reproduce Fig. 4 for one benchmark: the named cache family at
-/// associativities 2/4/8. `big` selects the 64 KB/64 B geometry (paper:
-/// mcf); otherwise 8 KB/32 B (paper: twolf).
+/// associativities 2/4/8, one pool job per associativity. `big` selects
+/// the 64 KB/64 B geometry (paper: mcf); otherwise 8 KB/32 B (paper:
+/// twolf).
 pub fn fig4(name: &str, big: bool, limit: u64) -> Vec<TagMatchReport> {
     let w = by_name(name).unwrap_or_else(|| panic!("unknown workload {name}"));
     let p = w.program();
-    [2u32, 4, 8]
-        .iter()
-        .map(|&ways| {
-            let cfg = if big {
-                CacheConfig::new(64 * 1024, 64, ways)
-            } else {
-                CacheConfig::small_8k(ways)
-            };
-            let mut study = TagMatchStudy::new(cfg);
-            drive_counted(&p, limit, &mut [&mut study]);
-            study.report()
-        })
-        .collect()
+    pool::map_jobs(pool::default_threads(), &[2u32, 4, 8], |&ways| {
+        let cfg = if big {
+            CacheConfig::new(64 * 1024, 64, ways)
+        } else {
+            CacheConfig::small_8k(ways)
+        };
+        let mut study = TagMatchStudy::new(cfg);
+        drive_counted(&p, limit, &mut [&mut study]);
+        study.report()
+    })
 }
 
 // ---- Fig. 6 ---------------------------------------------------------------

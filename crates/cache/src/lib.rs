@@ -10,7 +10,8 @@
 //!
 //! * [`CacheConfig`] / [`Cache`] — one level of set-associative cache.
 //! * [`Cache::partial_probe`] — the Fig. 4 classification for a probe with
-//!   `t` known tag bits.
+//!   `t` known tag bits; [`Cache::partial_probe_widths`] classifies every
+//!   width in one pass.
 //! * [`Hierarchy`] — L1I/L1D/L2/memory with the Table 2 latencies.
 //!
 //! ```
@@ -31,4 +32,4 @@ mod set_assoc;
 
 pub use config::CacheConfig;
 pub use hierarchy::{Hierarchy, HierarchyConfig, MemAccess};
-pub use set_assoc::{AccessResult, Cache, CacheStats, PartialOutcome};
+pub use set_assoc::{AccessResult, Cache, CacheStats, PartialOutcome, MAX_WAYS};

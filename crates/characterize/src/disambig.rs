@@ -5,10 +5,17 @@
 //! address bits `[2, 2+k)` for each cumulative bit count `k`. Each (load,
 //! bit-count) pair falls into one of the paper's seven categories; the
 //! figure plots category shares against the highest bit index used.
+//!
+//! The paper's comparator chain examines bits 2, 3, 4, … in turn, and a
+//! store drops out of the match at its *first differing bit*. So one
+//! number per store — the lowest bit above bit 1 at which it differs
+//! from the load — decides its match at every width, and each load is
+//! classified at all 30 bit positions in one pass over the queue.
 
 use crate::TraceSink;
 use popk_emu::TraceRecord;
 use std::collections::VecDeque;
+use std::ops::Range;
 
 /// The seven Fig. 2 categories.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -44,12 +51,11 @@ impl DisambigCategory {
         DisambigCategory::MultMatchDiffAddr,
     ];
 
-    /// Index into per-category count arrays.
+    /// Index into per-category count arrays (the position in
+    /// [`DisambigCategory::ALL`], which lists the variants in
+    /// declaration order).
     pub fn index(self) -> usize {
-        Self::ALL
-            .iter()
-            .position(|&c| c == self)
-            .expect("ALL lists every variant")
+        self as usize
     }
 
     /// Legend label matching the paper's figure.
@@ -120,6 +126,40 @@ enum QueueEntry {
     Store { addr: u32 },
 }
 
+/// Stores grouped for the one-pass classification: how many, the word
+/// address (bits 2–31) of one of them, and whether all share it.
+#[derive(Clone, Copy)]
+struct StoreGroup {
+    count: u32,
+    addr: u32,
+    same_addr: bool,
+}
+
+impl StoreGroup {
+    const EMPTY: StoreGroup = StoreGroup {
+        count: 0,
+        addr: 0,
+        same_addr: true,
+    };
+
+    fn add(&mut self, addr: u32) {
+        if self.count == 0 {
+            self.addr = addr;
+        }
+        self.same_addr &= addr == self.addr;
+        self.count += 1;
+    }
+
+    fn merge(&mut self, other: StoreGroup) {
+        if self.count == 0 {
+            *self = other;
+        } else if other.count > 0 {
+            self.same_addr &= other.same_addr && other.addr == self.addr;
+            self.count += other.count;
+        }
+    }
+}
+
 /// The Fig. 2 study: a sliding unified LSQ window over the dynamic trace.
 pub struct DisambigStudy {
     lsq_size: usize,
@@ -148,7 +188,95 @@ impl DisambigStudy {
         }
     }
 
-    fn classify(&self, load_addr: u32, bits_through: u32) -> DisambigCategory {
+    /// Classify a load at `load_addr` against the queued stores at every
+    /// bit position, count it, and queue it.
+    fn load(&mut self, load_addr: u32) {
+        self.loads += 1;
+        // by_diff[d]: the stores whose first differing bit from the load
+        // is d (32 = they agree on bits 2–31). Bit d of `present` marks
+        // the non-empty groups.
+        let mut by_diff = [StoreGroup::EMPTY; 33];
+        let mut present = 0u64;
+        let mut stores = 0u32;
+        for e in &self.queue {
+            if let QueueEntry::Store { addr } = *e {
+                stores += 1;
+                let addr = addr & !0b11;
+                let d = ((addr ^ load_addr) & !0b11).trailing_zeros();
+                by_diff[d as usize].add(addr);
+                present |= 1 << d;
+            }
+        }
+        let full_match = by_diff[32].count > 0;
+        let category = |matching: &StoreGroup| match matching.count {
+            _ if stores == 0 => DisambigCategory::NoStores,
+            0 => DisambigCategory::ZeroMatch,
+            // The lone matcher is the full match, if there is one.
+            1 if !full_match => DisambigCategory::SingleNonMatch,
+            1 if stores == 1 => DisambigCategory::SingleMatchOneStore,
+            1 => DisambigCategory::SingleMatchMultStores,
+            _ if matching.same_addr => DisambigCategory::MultMatchSameAddr,
+            _ => DisambigCategory::MultMatchDiffAddr,
+        };
+        // A store matches on bits [2, b] exactly when it first differs
+        // above b, so group d joins the matching set from bit d - 1 down.
+        // Walk the groups from the highest; rows `hi..=31` are counted.
+        let mut matching = StoreGroup::EMPTY;
+        let mut hi = LAST_BIT + 1;
+        while present != 0 {
+            let d = 63 - present.leading_zeros();
+            present &= !(1 << d);
+            let lo = d.max(FIRST_BIT);
+            if lo < hi {
+                self.count_bits(lo..hi, category(&matching));
+                hi = lo;
+            }
+            matching.merge(by_diff[d as usize]);
+        }
+        self.count_bits(FIRST_BIT..hi, category(&matching));
+        self.push(QueueEntry::Load);
+    }
+
+    /// Count one load in category `cat` at each bit position in `bits`.
+    fn count_bits(&mut self, bits: Range<u32>, cat: DisambigCategory) {
+        let rows = (bits.start - FIRST_BIT) as usize..(bits.end - FIRST_BIT) as usize;
+        for row in &mut self.counts[rows] {
+            row[cat.index()] += 1;
+        }
+    }
+
+    fn push(&mut self, entry: QueueEntry) {
+        if self.queue.len() == self.lsq_size {
+            self.queue.pop_front();
+        }
+        self.queue.push_back(entry);
+    }
+}
+
+impl TraceSink for DisambigStudy {
+    fn observe(&mut self, rec: &TraceRecord) {
+        let op = rec.insn.op();
+        if op.is_load() {
+            self.load(rec.ea);
+        } else if op.is_store() {
+            self.push(QueueEntry::Store { addr: rec.ea });
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use popk_emu::Machine;
+    use popk_isa::rng::SplitMix64;
+
+    /// Reference for the one-pass kernel: one bit position at a time,
+    /// rescan the queue with bits `[2, bits_through]` masked.
+    fn reference_classify(
+        queue: &VecDeque<QueueEntry>,
+        load_addr: u32,
+        bits_through: u32,
+    ) -> DisambigCategory {
         // Compare bits [2, bits_through] inclusive.
         let width = bits_through + 1; // bits [0, bits_through]
         let mask = if width >= 32 {
@@ -157,25 +285,21 @@ impl DisambigStudy {
             (1u32 << width) - 1
         } & !0b11;
         let mut store_count = 0usize;
-        let mut partial = [0u32; 64];
-        let mut n = 0usize;
-        for e in &self.queue {
+        let mut partial = Vec::new();
+        for e in queue {
             if let QueueEntry::Store { addr } = *e {
                 store_count += 1;
-                if (addr ^ load_addr) & mask == 0 && n < partial.len() {
-                    partial[n] = addr;
-                    n += 1;
+                if (addr ^ load_addr) & mask == 0 {
+                    partial.push(addr);
                 }
             }
         }
         if store_count == 0 {
             return DisambigCategory::NoStores;
         }
-        match n {
+        match partial.len() {
             0 => DisambigCategory::ZeroMatch,
             1 => {
-                // Full-address comparison ignores byte-in-word bits, as
-                // the bit-serial comparison starts at bit 2.
                 if (partial[0] ^ load_addr) & !0b11 == 0 {
                     if store_count == 1 {
                         DisambigCategory::SingleMatchOneStore
@@ -188,7 +312,7 @@ impl DisambigStudy {
             }
             _ => {
                 let first = partial[0] & !0b11;
-                if partial[..n].iter().all(|&a| a & !0b11 == first) {
+                if partial.iter().all(|&a| a & !0b11 == first) {
                     DisambigCategory::MultMatchSameAddr
                 } else {
                     DisambigCategory::MultMatchDiffAddr
@@ -196,35 +320,69 @@ impl DisambigStudy {
             }
         }
     }
-}
 
-impl TraceSink for DisambigStudy {
-    fn observe(&mut self, rec: &TraceRecord) {
-        let op = rec.insn.op();
-        if op.is_load() {
-            self.loads += 1;
-            for bit in FIRST_BIT..=LAST_BIT {
-                let cat = self.classify(rec.ea, bit);
-                self.counts[(bit - FIRST_BIT) as usize][cat.index()] += 1;
-            }
-        }
-        if op.is_load() || op.is_store() {
-            if self.queue.len() == self.lsq_size {
-                self.queue.pop_front();
-            }
-            self.queue.push_back(if op.is_store() {
-                QueueEntry::Store { addr: rec.ea }
-            } else {
-                QueueEntry::Load
-            });
+    #[test]
+    fn category_index_is_its_position_in_all() {
+        for (i, c) in DisambigCategory::ALL.iter().enumerate() {
+            assert_eq!(c.index(), i, "{c:?}");
         }
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use popk_emu::Machine;
+    #[test]
+    fn one_pass_kernel_matches_the_per_bit_reference() {
+        let mut rng = SplitMix64::new(0xf162);
+        let mut seen = [0u64; NCAT];
+        for lsq in [1, 2, 8, 32, 64] {
+            let mut study = DisambigStudy::new(lsq);
+            let mut expect = vec![[0u64; NCAT]; NBITS];
+            // A small pool of word addresses that differ from one base in
+            // a few sparse bits: partial matches at every bit position,
+            // repeated stores to one address, and full matches are all
+            // common. Byte offsets vary below bit 2.
+            let base = rng.next_u32();
+            let pool: Vec<u32> = (0..lsq / 2 + 3)
+                .map(|_| base ^ (rng.next_u32() & rng.next_u32() & rng.next_u32()))
+                .collect();
+            for _ in 0..4000 {
+                let addr = (*rng.pick(&pool) & !0b11) | rng.below(4);
+                if rng.flip() {
+                    for bit in FIRST_BIT..=LAST_BIT {
+                        let cat = reference_classify(&study.queue, addr, bit);
+                        expect[(bit - FIRST_BIT) as usize][cat.index()] += 1;
+                    }
+                    study.load(addr);
+                    assert_eq!(study.counts, expect, "lsq {lsq}, load {addr:#x}");
+                } else {
+                    study.push(QueueEntry::Store { addr });
+                }
+            }
+            for row in &expect {
+                for (s, c) in seen.iter_mut().zip(row) {
+                    *s += c;
+                }
+            }
+        }
+        assert!(seen.iter().all(|&n| n > 0), "categories seen: {seen:?}");
+    }
+
+    #[test]
+    fn more_than_64_matching_stores_are_all_compared() {
+        let a = 0x1000_0000;
+        let b = a | 1 << 16; // agrees with `a` on bits 2–15
+        let mut s = DisambigStudy::new(128);
+        for _ in 0..64 {
+            s.push(QueueEntry::Store { addr: a });
+        }
+        s.push(QueueEntry::Store { addr: b });
+        s.load(a);
+        let row = |bit: u32| s.counts[(bit - FIRST_BIT) as usize];
+        // Through bit 15 all 65 stores match, and the 65th differs.
+        assert_eq!(row(15)[DisambigCategory::MultMatchDiffAddr.index()], 1);
+        assert_eq!(row(2)[DisambigCategory::MultMatchDiffAddr.index()], 1);
+        // Bit 16 rules out `b`; the 64 stores to `a` remain.
+        assert_eq!(row(16)[DisambigCategory::MultMatchSameAddr.index()], 1);
+        assert_eq!(row(31)[DisambigCategory::MultMatchSameAddr.index()], 1);
+    }
 
     fn feed(study: &mut DisambigStudy, src: &str) {
         let p = popk_isa::asm::assemble(src).unwrap();

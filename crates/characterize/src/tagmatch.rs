@@ -5,6 +5,11 @@
 //! partial-tag width `t` (0 ..= full); then the access proceeds normally
 //! (LRU fill). The figure plots, per absolute address bit position, the
 //! share of accesses in each of four categories.
+//!
+//! All widths come from one pass over the set
+//! ([`Cache::partial_probe_widths`]): a way stops matching at the first
+//! tag bit where it differs from the probe, so that one bit per way
+//! decides the category at every width.
 
 use crate::TraceSink;
 use popk_cache::{Cache, CacheConfig, PartialOutcome};
@@ -32,12 +37,10 @@ impl TagCategory {
         TagCategory::MultMatch,
     ];
 
-    /// Index into count arrays.
+    /// Index into count arrays (the position in [`TagCategory::ALL`],
+    /// which lists the variants in declaration order).
     pub fn index(self) -> usize {
-        Self::ALL
-            .iter()
-            .position(|&c| c == self)
-            .expect("ALL lists every variant")
+        self as usize
     }
 
     /// Legend label matching the paper.
@@ -143,28 +146,37 @@ impl TagMatchStudy {
             mru_correct: self.mru_correct.clone(),
         }
     }
+
+    /// Classify an access to `addr` at every tag width, count it, then
+    /// perform it.
+    fn access(&mut self, addr: u32) {
+        let (counts, mru_correct) = (&mut self.counts, &mut self.mru_correct);
+        self.cache
+            .partial_probe_widths(addr, counts.len(), |widths, outcome| {
+                let cat = TagCategory::of(outcome).index();
+                for row in &mut counts[widths.clone()] {
+                    row[cat] += 1;
+                }
+                if let PartialOutcome::MultiMatch {
+                    mru_correct: true, ..
+                } = outcome
+                {
+                    for n in &mut mru_correct[widths] {
+                        *n += 1;
+                    }
+                }
+            });
+        self.accesses += 1;
+        if self.cache.access(addr).hit {
+            self.hits += 1;
+        }
+    }
 }
 
 impl TraceSink for TagMatchStudy {
     fn observe(&mut self, rec: &TraceRecord) {
-        if !rec.is_mem() {
-            return;
-        }
-        let addr = rec.ea;
-        let tag_bits = self.cache.config().tag_bits();
-        for t in 0..=tag_bits {
-            let outcome = self.cache.partial_probe(addr, t);
-            self.counts[t as usize][TagCategory::of(outcome).index()] += 1;
-            if let PartialOutcome::MultiMatch {
-                mru_correct: true, ..
-            } = outcome
-            {
-                self.mru_correct[t as usize] += 1;
-            }
-        }
-        self.accesses += 1;
-        if self.cache.access(addr).hit {
-            self.hits += 1;
+        if rec.is_mem() {
+            self.access(rec.ea);
         }
     }
 }
@@ -173,6 +185,91 @@ impl TraceSink for TagMatchStudy {
 mod tests {
     use super::*;
     use popk_emu::Machine;
+    use popk_isa::rng::SplitMix64;
+
+    /// Reference for the one-pass kernel: one [`Cache::partial_probe`]
+    /// per tag width.
+    struct Reference {
+        cache: Cache,
+        counts: Vec<[u64; 4]>,
+        mru_correct: Vec<u64>,
+        hits: u64,
+    }
+
+    impl Reference {
+        fn new(cfg: CacheConfig) -> Reference {
+            let n = cfg.tag_bits() as usize + 1;
+            Reference {
+                cache: Cache::new(cfg),
+                counts: vec![[0; 4]; n],
+                mru_correct: vec![0; n],
+                hits: 0,
+            }
+        }
+
+        fn access(&mut self, addr: u32) {
+            let tag_bits = self.cache.config().tag_bits();
+            for t in 0..=tag_bits {
+                let outcome = self.cache.partial_probe(addr, t);
+                self.counts[t as usize][TagCategory::of(outcome).index()] += 1;
+                if let PartialOutcome::MultiMatch {
+                    mru_correct: true, ..
+                } = outcome
+                {
+                    self.mru_correct[t as usize] += 1;
+                }
+            }
+            if self.cache.access(addr).hit {
+                self.hits += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn category_index_is_its_position_in_all() {
+        for (i, c) in TagCategory::ALL.iter().enumerate() {
+            assert_eq!(c.index(), i, "{c:?}");
+        }
+    }
+
+    #[test]
+    fn one_pass_kernel_matches_the_per_width_reference() {
+        let mut rng = SplitMix64::new(0xf164);
+        let mut seen = [0u64; 4];
+        let mut mru_correct = 0;
+        for ways in [1, 2, 4, 8, 16] {
+            // Four sets of 32 B lines.
+            let cfg = CacheConfig::new(4 * 32 * ways, 32, ways);
+            let mut study = TagMatchStudy::new(cfg);
+            let mut reference = Reference::new(cfg);
+            // A small pool of tags that differ from one base in a few
+            // sparse bits, so partial matches at every width, full
+            // matches and multi-way ambiguity are all common.
+            let base = rng.next_u32();
+            let pool: Vec<u32> = (0..3 * ways + 4)
+                .map(|_| {
+                    let tag = base ^ (rng.next_u32() & rng.next_u32() & rng.next_u32());
+                    (tag << cfg.tag_start_bit()) | (rng.below(4) << cfg.offset_bits())
+                })
+                .collect();
+            for _ in 0..3000 {
+                let addr = *rng.pick(&pool) | rng.below(32);
+                study.access(addr);
+                reference.access(addr);
+                assert_eq!(study.counts, reference.counts, "{ways}-way, {addr:#x}");
+                assert_eq!(study.mru_correct, reference.mru_correct, "{ways}-way");
+                assert_eq!(study.hits, reference.hits, "{ways}-way");
+            }
+            for row in &study.counts {
+                for (s, c) in seen.iter_mut().zip(row) {
+                    *s += c;
+                }
+            }
+            mru_correct += study.mru_correct.iter().sum::<u64>();
+        }
+        assert!(seen.iter().all(|&n| n > 0), "categories seen: {seen:?}");
+        assert!(mru_correct > 0);
+    }
 
     fn feed(study: &mut TagMatchStudy, src: &str) {
         let p = popk_isa::asm::assemble(src).unwrap();

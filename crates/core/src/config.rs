@@ -1,7 +1,7 @@
 //! Machine configuration (Table 2 and the Fig. 10 pipeline variants).
 
 use popk_bpred::FrontEndConfig;
-use popk_cache::{CacheConfig, HierarchyConfig};
+use popk_cache::{CacheConfig, HierarchyConfig, MAX_WAYS};
 use popk_slice::SliceWidth;
 use std::fmt;
 
@@ -389,6 +389,12 @@ impl MachineConfig {
         if c.ways == 0 || !c.ways.is_power_of_two() {
             return err(format!("associativity {} must be a power of two", c.ways));
         }
+        if c.ways > MAX_WAYS {
+            return err(format!(
+                "associativity {} above the supported {MAX_WAYS}",
+                c.ways
+            ));
+        }
         // u64 arithmetic so absurd geometries error instead of
         // overflowing the intermediate products.
         let set_bytes = c.line_bytes as u64 * c.ways as u64;
@@ -521,6 +527,15 @@ mod tests {
         c.memory.l1i.line_bytes = 1 << 31;
         c.memory.l1i.ways = 1 << 31;
         assert!(c.validate().is_err());
+
+        // Recency ranks are u8: 256 ways is the limit.
+        let mut c = MachineConfig::ideal();
+        c.memory.l1d = CacheConfig::new(256 * 64, 64, 256);
+        c.validate().expect("256 ways fit u8 recency ranks");
+        c.memory.l1d = CacheConfig::new(512 * 64, 64, 512);
+        let e = c.validate().unwrap_err();
+        assert_eq!(e.field, "memory.l1d");
+        assert!(e.to_string().contains("associativity 512"), "{e}");
     }
 
     #[test]
