@@ -2,12 +2,10 @@
 //!
 //! Daemon:
 //! `cargo run --release -p popk-bench --bin serve -- [--addr A] [--workers N]
-//! [--queue N] [--cache DIR] [--cache-cap BYTES] [--no-recover]`
+//! [--queue N] [--cache DIR] [--cache-cap BYTES]`
 //! binds (default `127.0.0.1:4650`), prints `listening on ADDR`, and
-//! serves until a client sends `{"op":"shutdown"}`. On startup it
-//! replays `serve.journal` under the cache dir and finishes any jobs
-//! interrupted by a previous crash (`--no-recover` skips this);
-//! `--cache-cap` bounds the artifact cache, evicting LRU entries.
+//! serves until a client sends `{"op":"shutdown"}`. `--cache-cap`
+//! bounds the artifact cache, evicting LRU entries.
 //!
 //! Client:
 //! `serve client <addr> ping`
@@ -54,7 +52,6 @@ fn run_daemon(args: &[String]) -> i32 {
             "--cache-cap" => {
                 cfg.cache_max_bytes = value("--cache-cap").replace('_', "").parse().ok();
             }
-            "--no-recover" => cfg.recover = false,
             other => {
                 eprintln!("unknown argument `{other}`");
                 return 2;

@@ -2,9 +2,9 @@
 //!
 //! One runner per table/figure of the paper's evaluation, shared by the
 //! report binaries (`table1`, `fig2`, `fig4`, `fig6`, `fig11`, `fig12`,
-//! `ablations`) and the timing benches. Each binary prints the same
-//! rows/series the paper reports; `EXPERIMENTS.md` records the measured
-//! output next to the paper's numbers.
+//! `ablations`). Each binary prints the same rows/series the paper
+//! reports; `EXPERIMENTS.md` records the measured output next to the
+//! paper's numbers.
 //!
 //! All runners accept a dynamic-instruction budget; the binaries read it
 //! from their first CLI argument (default [`DEFAULT_LIMIT`]) and accept
@@ -27,7 +27,6 @@ pub mod pool;
 pub mod reports;
 pub mod runners;
 pub mod serve;
-pub mod timing;
 
 pub use artifact::{Artifact, Cli, HostMeter};
 pub use cache::{ArtifactCache, JobKey, CACHE_SCHEMA_VERSION};

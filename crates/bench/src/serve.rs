@@ -27,14 +27,21 @@
 //! the e2e suite (`tests/serve_e2e.rs`) pins this. Identity comes from
 //! [`JobKey`] ([`MachineConfig::fingerprint`] + workload + seed +
 //! budget); concurrent submitters of one key share a single simulation.
+//!
+//! ## Crashes
+//!
+//! The daemon keeps no state that a crash would lose: the cache holds
+//! every finished artifact, and a job that was running simply answers
+//! nobody. A client that lost its connection resubmits, which either
+//! hits the cache or simulates the same bytes again. A `serve.journal`
+//! left in the cache directory by an older daemon is ignored.
 
 use crate::cache::{ArtifactCache, JobKey};
-use crate::journal::{seal_line, verify_line};
 use crate::{pool, runners};
 use popk_core::{Json, MachineConfig, SimError, SimStats, Simulator, TraceEvent, TraceSink};
 use popk_workloads::by_name;
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
+use std::fs::OpenOptions;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -46,8 +53,9 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Wire-protocol version, reported by `ping` and `stats`. Bump on any
-/// incompatible request/response shape change.
-pub const PROTOCOL_VERSION: u64 = 1;
+/// incompatible request/response shape change. Version 2 dropped the
+/// `recovered` field from the `stats` reply.
+pub const PROTOCOL_VERSION: u64 = 2;
 
 /// How often the loops that still poll check the shutdown flag: the
 /// connection read, the worker receive and the drain monitor. The accept
@@ -72,9 +80,6 @@ pub struct ServeConfig {
     pub progress_interval: u64,
     /// Largest accepted per-job instruction budget.
     pub max_limit: u64,
-    /// Replay `serve.journal` on startup, re-enqueueing jobs that were
-    /// accepted but not finished before the previous process died.
-    pub recover: bool,
     /// Artifact-cache size cap in bytes; `None` is unbounded. When a
     /// store pushes the cache past the cap, the least-recently-used
     /// entries (oldest mtime first) are evicted back under it.
@@ -83,7 +88,7 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// Defaults: all cores, a 64-job queue, progress every 5000
-    /// instructions, budgets up to 10 M, recovery on, unbounded cache.
+    /// instructions, budgets up to 10 M, unbounded cache.
     pub fn new(addr: &str, cache_dir: impl Into<PathBuf>) -> ServeConfig {
         ServeConfig {
             addr: addr.to_string(),
@@ -92,145 +97,9 @@ impl ServeConfig {
             cache_dir: cache_dir.into(),
             progress_interval: 5_000,
             max_limit: 10_000_000,
-            recover: true,
             cache_max_bytes: None,
         }
     }
-}
-
-// ---- the service journal ---------------------------------------------------
-
-/// Write-ahead journal of accepted jobs (`<cache_dir>/serve.journal`),
-/// giving the daemon crash recovery: a `job` line (digest + the spec
-/// needed to rebuild it) is appended before a fresh job is enqueued and
-/// a `done` line when it finishes, each individually sealed with the
-/// [`crate::journal`] line format. On startup the journal is replayed —
-/// stopping at the first unverifiable (torn or tampered) line — and
-/// every job without a matching `done` is re-enqueued as a *detached*
-/// job: simulated for the cache with nobody subscribed, so interrupted
-/// work completes even though its submitters are gone.
-///
-/// An unwritable cache directory degrades the journal to advisory mode
-/// (lines are dropped with a warning) rather than failing submits —
-/// matching the cache's own degraded mode.
-struct ServeJournal {
-    path: PathBuf,
-    file: Mutex<Option<File>>,
-}
-
-impl ServeJournal {
-    /// Open the journal under `cache_root`, replaying (when `recover`)
-    /// and compacting it. Returns the journal plus the specs of jobs
-    /// recorded as accepted but never finished.
-    fn open(cache_root: &Path, recover: bool) -> (ServeJournal, Vec<Json>) {
-        let path = cache_root.join("serve.journal");
-        let mut pending: Vec<(String, Json)> = Vec::new();
-        if recover {
-            if let Ok(text) = std::fs::read_to_string(&path) {
-                for line in text.lines() {
-                    let Some(j) = verify_line(line) else { break };
-                    let Some(digest) = j.get("digest").and_then(Json::as_str) else {
-                        break;
-                    };
-                    match j.get("op").and_then(Json::as_str) {
-                        Some("job") => {
-                            if let Some(spec) = j.get("spec") {
-                                pending.retain(|(d, _)| d != digest);
-                                pending.push((digest.to_string(), spec.clone()));
-                            }
-                        }
-                        Some("done") => pending.retain(|(d, _)| d != digest),
-                        _ => break,
-                    }
-                }
-            }
-        }
-        // Compact: rewrite only the still-pending jobs (or truncate the
-        // stale journal entirely when not recovering).
-        let _ = std::fs::create_dir_all(cache_root);
-        let file = match File::create(&path) {
-            Ok(mut f) => {
-                let mut ok = true;
-                for (digest, spec) in &pending {
-                    let line = seal_line(Self::job_line(digest, spec));
-                    if writeln!(f, "{line}").is_err() {
-                        ok = false;
-                        break;
-                    }
-                }
-                let _ = f.flush();
-                ok.then_some(f)
-            }
-            Err(e) => {
-                eprintln!(
-                    "warning: serve journal {} is unwritable ({e}); \
-                     recovery disabled for this run",
-                    path.display()
-                );
-                None
-            }
-        };
-        (
-            ServeJournal {
-                path,
-                file: Mutex::new(file),
-            },
-            pending.into_iter().map(|(_, spec)| spec).collect(),
-        )
-    }
-
-    fn job_line(digest: &str, spec: &Json) -> Json {
-        let mut j = Json::object();
-        j.set("op", "job".into());
-        j.set("digest", digest.into());
-        j.set("spec", spec.clone());
-        j
-    }
-
-    fn append(&self, j: Json) {
-        let mut guard = self
-            .file
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(f) = guard.as_mut() {
-            let line = seal_line(j);
-            if writeln!(f, "{line}").and_then(|()| f.flush()).is_err() {
-                eprintln!(
-                    "warning: serve journal {} stopped accepting writes; \
-                     continuing without recovery",
-                    self.path.display()
-                );
-                *guard = None;
-            }
-        }
-    }
-
-    /// Record a job accepted for simulation (append before enqueue).
-    fn record_job(&self, digest: &str, spec: &Json) {
-        self.append(Self::job_line(digest, spec));
-    }
-
-    /// Record a job finished (simulated, errored, or panicked — any
-    /// outcome that answered the submitters and retired the job).
-    fn record_done(&self, digest: &str) {
-        let mut j = Json::object();
-        j.set("op", "done".into());
-        j.set("digest", digest.into());
-        self.append(j);
-    }
-}
-
-/// Reduce a submit request to the spec fields that identify the job —
-/// what the journal persists, and what recovery replays through
-/// [`parse_job_spec`] again.
-fn journal_spec(req: &Json) -> Json {
-    let mut spec = Json::object();
-    for key in ["workload", "config", "overrides", "limit", "seed"] {
-        if let Some(v) = req.get(key) {
-            spec.set(key, v.clone());
-        }
-    }
-    spec
 }
 
 // ---- connections -----------------------------------------------------------
@@ -282,10 +151,6 @@ struct Job {
     /// Raised when every subscriber's connection has died; the simulator
     /// polls it through [`Simulator::set_cancel`].
     cancel: Arc<AtomicBool>,
-    /// A recovered job replayed from the journal: it has no subscribers
-    /// by construction and runs to completion for the cache's benefit,
-    /// so the no-live-subscriber cancellation does not apply.
-    detached: bool,
 }
 
 impl Job {
@@ -297,7 +162,7 @@ impl Job {
             .subs
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if !self.detached && !subs.iter().any(|s| s.conn.alive()) {
+        if !subs.iter().any(|s| s.conn.alive()) {
             self.cancel.store(true, Ordering::Relaxed);
             return;
         }
@@ -344,7 +209,6 @@ struct Shared {
     /// cache *before* removing its job here — so a key is always either
     /// inflight (attach) or, once absent, fully readable from the cache.
     inflight: Mutex<HashMap<String, Arc<Job>>>,
-    journal: ServeJournal,
     /// Raised only through [`Shared::stop`], which also wakes the accept
     /// loop.
     shutdown: AtomicBool,
@@ -369,7 +233,6 @@ struct Shared {
     simulations: AtomicU64,
     job_errors: AtomicU64,
     queue_depth: AtomicU64,
-    recovered: AtomicU64,
 }
 
 impl Shared {
@@ -410,12 +273,10 @@ impl Server {
                 cfg.cache_dir.display()
             );
         }
-        let (journal, pending) = ServeJournal::open(&cfg.cache_dir, cfg.recover && !cache_degraded);
         let shared = Arc::new(Shared {
             cache: ArtifactCache::with_capacity(cfg.cache_dir, cfg.cache_max_bytes),
             queue: tx,
             inflight: Mutex::new(HashMap::new()),
-            journal,
             shutdown: AtomicBool::new(false),
             wake_addr: loopback(addr),
             draining: AtomicBool::new(false),
@@ -429,9 +290,7 @@ impl Server {
             simulations: AtomicU64::new(0),
             job_errors: AtomicU64::new(0),
             queue_depth: AtomicU64::new(0),
-            recovered: AtomicU64::new(0),
         });
-        recover_jobs(&shared, &pending);
         let rx = Arc::new(Mutex::new(rx));
         let mut threads = Vec::new();
         for _ in 0..cfg.workers.max(1) {
@@ -503,61 +362,6 @@ fn cache_dir_writable(dir: &Path) -> bool {
         .is_ok();
     let _ = std::fs::remove_file(&probe);
     ok
-}
-
-/// Re-enqueue journal-recovered job specs as detached jobs. A spec that
-/// no longer parses (workload renamed, limit policy tightened) or that
-/// cannot be queued is dropped with a warning — it stays journaled and
-/// will be retried on the next restart.
-fn recover_jobs(shared: &Arc<Shared>, pending: &[Json]) {
-    for spec in pending {
-        let (key, cfg) = match parse_job_spec(shared, spec) {
-            Ok(v) => v,
-            Err((kind, message)) => {
-                eprintln!("warning: dropping unrecoverable journaled job ({kind}: {message})");
-                continue;
-            }
-        };
-        let digest = key.digest();
-        if shared.cache.lookup(&key).is_some() {
-            // The previous process finished the work but died before the
-            // `done` line landed; the cache is the source of truth.
-            shared.journal.record_done(&digest);
-            continue;
-        }
-        let job = Arc::new(Job {
-            key,
-            digest: digest.clone(),
-            cfg,
-            subs: Mutex::new(Vec::new()),
-            cancel: Arc::new(AtomicBool::new(false)),
-            detached: true,
-        });
-        let mut inflight = shared
-            .inflight
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if inflight.contains_key(&digest) {
-            continue;
-        }
-        match shared.queue.try_send(job.clone()) {
-            Ok(()) => {
-                shared.queue_depth.fetch_add(1, Ordering::Relaxed);
-                inflight.insert(digest, job);
-                shared.recovered.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                eprintln!(
-                    "warning: recovery queue full; job {digest} stays journaled \
-                     for the next restart"
-                );
-            }
-        }
-    }
-    let n = shared.recovered.load(Ordering::Relaxed);
-    if n > 0 {
-        eprintln!("recovered {n} interrupted job(s) from the journal");
-    }
 }
 
 /// The drain monitor: once draining starts, wait for the queue and
@@ -757,12 +561,16 @@ fn apply_overrides(cfg: &mut MachineConfig, ov: &Json) -> Result<(), String> {
             v.as_u64()
                 .ok_or_else(|| format!("override `{k}` must be a non-negative integer"))
         };
+        // Out-of-range values are rejected, never wrapped: a wrapped
+        // value would key, and answer, a different job.
+        let range =
+            |_: std::num::TryFromIntError| format!("override `{k}` is out of range (got {v})");
         match k.as_str() {
-            "width" => cfg.width = num()? as u32,
-            "ruu_size" => cfg.ruu_size = num()? as usize,
-            "lsq_size" => cfg.lsq_size = num()? as usize,
-            "mem_ports" => cfg.mem_ports = num()? as u32,
-            "int_alus" => cfg.int_alus = num()? as u32,
+            "width" => cfg.width = u32::try_from(num()?).map_err(range)?,
+            "ruu_size" => cfg.ruu_size = usize::try_from(num()?).map_err(range)?,
+            "lsq_size" => cfg.lsq_size = usize::try_from(num()?).map_err(range)?,
+            "mem_ports" => cfg.mem_ports = u32::try_from(num()?).map_err(range)?,
+            "int_alus" => cfg.int_alus = u32::try_from(num()?).map_err(range)?,
             "watchdog" => cfg.watchdog = num()?,
             "oracle" => {
                 cfg.oracle = v
@@ -866,13 +674,9 @@ fn handle_submit(shared: &Arc<Shared>, conn: &Arc<Conn>, req: &Json, tag: Option
         cfg,
         subs: Mutex::new(vec![sub]),
         cancel: Arc::new(AtomicBool::new(false)),
-        detached: false,
     });
     match shared.queue.try_send(job.clone()) {
         Ok(()) => {
-            // Journal before the job becomes runnable: if the process
-            // dies mid-simulation, restart recovery re-enqueues it.
-            shared.journal.record_job(&digest, &journal_spec(req));
             shared.queue_depth.fetch_add(1, Ordering::Relaxed);
             inflight.insert(digest.clone(), job);
             // Send `accepted` before releasing the lock: a worker
@@ -999,10 +803,6 @@ fn stats_json(shared: &Shared, tag: &Option<String>) -> Json {
         Json::from(shared.queue_depth.load(Ordering::Relaxed)),
     );
     j.set(
-        "recovered",
-        Json::from(shared.recovered.load(Ordering::Relaxed)),
-    );
-    j.set(
         "draining",
         Json::from(shared.draining.load(Ordering::Relaxed)),
     );
@@ -1043,20 +843,6 @@ fn worker_loop(shared: &Arc<Shared>, rx: &Mutex<Receiver<Arc<Job>>>) {
 /// Execute one job end to end: simulate (panic-isolated), persist the
 /// artifact, retire the inflight entry, and answer every subscriber.
 fn run_job(shared: &Shared, job: &Job) {
-    if job.detached {
-        // A recovered job answers nobody; if the cache already has the
-        // result (stored between the journal's `job` line and the
-        // crash), completing it is a single `done` line.
-        if shared.cache.lookup(&job.key).is_some() {
-            shared.journal.record_done(&job.digest);
-            shared
-                .inflight
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .remove(&job.digest);
-            return;
-        }
-    }
     let outcome = catch_unwind(AssertUnwindSafe(|| simulate_job(shared, job)));
     let result: Result<String, Json> = match outcome {
         Ok(Ok(stats)) => {
@@ -1084,11 +870,7 @@ fn run_job(shared: &Shared, job: &Job) {
             Err(j)
         }
     };
-    // Every outcome — result, typed error, panic — retires the job: the
-    // journal's `done` line keeps recovery from rerunning a job that
-    // already answered its submitters (a deterministic failure would
-    // just fail again on every restart).
-    shared.journal.record_done(&job.digest);
+    // Every outcome — result, typed error, panic — retires the job.
     // Cache write (above) strictly precedes inflight removal, upholding
     // the lookup invariant; removal strictly precedes responses, so a
     // client that sees a result can immediately cache-hit or compare.

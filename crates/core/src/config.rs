@@ -5,6 +5,17 @@ use popk_cache::{CacheConfig, HierarchyConfig, MAX_WAYS};
 use popk_slice::SliceWidth;
 use std::fmt;
 
+/// Widest accepted fetch/issue/commit width. The front end reserves a
+/// fetch queue of `2 * width + 8` entries up front, and a failed
+/// allocation aborts the process instead of returning an error; the
+/// paper's machines are 4 wide.
+const MAX_WIDTH: u32 = 256;
+
+/// Largest accepted RUU or LSQ. The scheduler reserves buffers of these
+/// sizes up front, where a failed allocation aborts the process; the
+/// paper's machines use 64 and 32 entries.
+const MAX_QUEUE: usize = 65_536;
+
 /// A degenerate [`MachineConfig`], rejected by
 /// [`MachineConfig::validate`] before any cycle is simulated.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -352,17 +363,25 @@ impl MachineConfig {
                 "fetch/issue/commit width must be at least 1".into(),
             );
         }
-        if self.ruu_size == 0 {
+        if self.width > MAX_WIDTH {
             return err(
-                "ruu_size",
-                "instruction window needs at least one entry".into(),
+                "width",
+                format!("width {} above the supported {MAX_WIDTH}", self.width),
             );
         }
-        if self.lsq_size == 0 {
-            return err(
-                "lsq_size",
-                "load/store queue needs at least one entry".into(),
-            );
+        for (field, size, what) in [
+            ("ruu_size", self.ruu_size, "instruction window"),
+            ("lsq_size", self.lsq_size, "load/store queue"),
+        ] {
+            if size == 0 {
+                return err(field, format!("{what} needs at least one entry"));
+            }
+            if size > MAX_QUEUE {
+                return err(
+                    field,
+                    format!("{what} of {size} entries above the supported {MAX_QUEUE}"),
+                );
+            }
         }
         let slices = self.slice_count();
         if slices == 0 || 32 % slices != 0 {
@@ -509,6 +528,20 @@ mod tests {
         let mut c = MachineConfig::ideal();
         c.lsq_size = 0;
         assert_eq!(c.validate().unwrap_err().field, "lsq_size");
+
+        // Sizes the core would abort allocating are errors too.
+        let mut c = MachineConfig::ideal();
+        c.width = u32::MAX;
+        assert_eq!(c.validate().unwrap_err().field, "width");
+        let mut c = MachineConfig::ideal();
+        c.ruu_size = 1 << 40;
+        assert_eq!(c.validate().unwrap_err().field, "ruu_size");
+        let mut c = MachineConfig::ideal();
+        c.lsq_size = 1 << 40;
+        assert_eq!(c.validate().unwrap_err().field, "lsq_size");
+        let mut c = MachineConfig::ideal();
+        (c.width, c.ruu_size, c.lsq_size) = (MAX_WIDTH, MAX_QUEUE, MAX_QUEUE);
+        c.validate().expect("the bounds themselves are accepted");
 
         // Non-power-of-two set count: 48 KiB direct-mapped with 32 B lines.
         let mut c = MachineConfig::ideal();

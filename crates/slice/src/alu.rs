@@ -212,28 +212,38 @@ mod tests {
         );
     }
 
+    /// Carry- and compare-hostile corner values: long carry chains,
+    /// off-by-one around sign and slice boundaries, and the equal and
+    /// adjacent small values that `slt`/`sltu` trip on.
+    const CORNERS: [u32; 14] = [
+        0,
+        1,
+        4,
+        5,
+        0xff,
+        0x100,
+        0xffff,
+        0x0001_0000,
+        0x7fff_ffff,
+        0x8000_0000,
+        0x8000_0001,
+        0xffff_ffff,
+        0xfffe_ffff,
+        0x00ff_ff00,
+    ];
+
     /// An edge-biased operand stream: raw random words mixed with
-    /// carry/shift corner values.
+    /// corner values.
     fn operand_pairs(seed: u64, n: usize) -> impl Iterator<Item = (u32, u32)> {
         let mut rng = SplitMix64::new(seed);
-        const EDGES: [u32; 8] = [
-            0,
-            1,
-            0xff,
-            0xffff,
-            0x8000_0000,
-            u32::MAX,
-            0x7fff_ffff,
-            0x0001_0000,
-        ];
         (0..n).map(move |i| {
             let a = if i % 4 == 0 {
-                *rng.pick(&EDGES)
+                *rng.pick(&CORNERS)
             } else {
                 rng.next_u32()
             };
             let b = if i % 5 == 0 {
-                *rng.pick(&EDGES)
+                *rng.pick(&CORNERS)
             } else {
                 rng.next_u32()
             };
@@ -243,7 +253,11 @@ mod tests {
 
     #[test]
     fn sliced_matches_full() {
-        for (a, b) in operand_pairs(0xa1, 2048) {
+        // Edge-biased random pairs, then every pair of corner values.
+        let corners = CORNERS
+            .iter()
+            .flat_map(|&a| CORNERS.iter().map(move |&b| (a, b)));
+        for (a, b) in operand_pairs(0xa1, 2048).chain(corners) {
             for w in WIDTHS {
                 let alu = SliceAlu::new(w);
                 for op in OPS {

@@ -7,13 +7,10 @@
 //!
 //! The timing model in `popk-core` uses this crate two ways:
 //!
-//! * the [`SliceAlu`] actually computes per-slice results in the same order
-//!   a bit-sliced datapath would produce them (property-tested here against
-//!   the full-width operations), and
-//! * the batched kernels ([`SliceBatch`], [`eval_batch`]) evaluate many
-//!   `(op, a, b)` lanes one slice position at a time with flat
-//!   structure-of-arrays loops (optionally `std::simd` under the
-//!   non-default `simd` feature), and
+//! * the [`SliceAlu`] computes per-slice results in the same order a
+//!   bit-sliced datapath would produce them (property-tested here against
+//!   the full-width operations); debug builds of the core check every
+//!   completed sliced-ALU result against it, and
 //! * the partial-knowledge predicates ([`first_divergent_bit`],
 //!   [`diverges_within`], [`mispredict_detection_bit`]) decide how many
 //!   low-order bits suffice to resolve a branch or disambiguate a load —
@@ -21,15 +18,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![cfg_attr(feature = "simd", feature(portable_simd))]
 
 mod alu;
-mod batch;
 mod partial;
 mod sliced;
 
 pub use alu::{AluSliceOp, SliceAlu};
-pub use batch::{eval_batch, SliceBatch};
 pub use partial::{
     diverges_within, first_divergent_bit, mispredict_detection_bit, slices_to_detect,
     FULL_WIDTH_BITS,

@@ -5,14 +5,13 @@
 //! drops mid-stream, cache truncation and bit-rot, abandoned (canceled)
 //! jobs — and after every storm the daemon must still answer, and
 //! recovered artifacts must be **byte-identical** to a clean run's.
-//! Separate tests cover the service journal (interrupted jobs finish
-//! after a restart), graceful drain shutdown, cache-less degradation,
+//! Separate tests cover graceful drain shutdown, cache-less degradation,
 //! and the headline end-to-end: a sweep killed with SIGKILL mid-run and
 //! resumed with `--resume` reproduces the clean artifact byte for byte.
 
 use popk_bench::{
-    journal, parse_config, set_poisoned_workload, table1_report_journaled, Client, JobKey,
-    ServeConfig, Server, SweepJournal,
+    journal, set_poisoned_workload, table1_report_journaled, Client, ServeConfig, Server,
+    SweepJournal,
 };
 use popk_core::Json;
 use std::path::PathBuf;
@@ -267,89 +266,6 @@ fn chaos_schedule_leaves_daemon_serving_and_artifacts_byte_identical() {
     assert_eq!(response_type(&client.request(&ping).expect("pong")), "pong");
     let (res, _) = submit(&mut client, &reference_req);
     assert_eq!(artifact_text(&res), reference.1);
-}
-
-// ---- service journal recovery ----------------------------------------------
-
-#[test]
-fn serve_journal_replays_interrupted_jobs_on_restart() {
-    let cache_dir = std::env::temp_dir().join(format!("popk-chaos-{}-recover", std::process::id()));
-    let _ = std::fs::remove_dir_all(&cache_dir);
-    std::fs::create_dir_all(&cache_dir).unwrap();
-
-    // Forge the journal a crashed daemon would have left behind: one
-    // job accepted and finished (must NOT re-run), one accepted and
-    // interrupted (must be re-enqueued and finished into the cache).
-    let spec = |seed: u64| {
-        let mut s = Json::object();
-        s.set("workload", "gzip".into());
-        s.set("config", "slice2".into());
-        s.set("limit", Json::from(LIMIT));
-        s.set("seed", Json::from(seed));
-        s
-    };
-    let digest = |seed: u64| {
-        let cfg = parse_config("slice2").expect("config");
-        JobKey::new("gzip", "slice2", &cfg, seed, LIMIT).digest()
-    };
-    let line = |op: &str, seed: u64| {
-        let mut j = Json::object();
-        j.set("op", op.into());
-        j.set("digest", digest(seed).as_str().into());
-        if op == "job" {
-            j.set("spec", spec(seed));
-        }
-        journal::seal_line(j)
-    };
-    let journal_text = format!(
-        "{}\n{}\n{}\n",
-        line("job", 1),
-        line("done", 1),
-        line("job", 2)
-    );
-    std::fs::write(cache_dir.join("serve.journal"), journal_text).unwrap();
-
-    let server = Server::start(ServeConfig::new("127.0.0.1:0", &cache_dir)).expect("starts");
-    let addr = server.local_addr().to_string();
-    let mut client = Client::connect(&addr).expect("connects");
-
-    // Exactly one job recovered; wait for it to finish into the cache.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let s = stats_of(&mut client);
-        assert_eq!(s.get("recovered").and_then(Json::as_u64), Some(1), "{s}");
-        if s.get("simulations").and_then(Json::as_u64) == Some(1)
-            && s.get("queue_depth").and_then(Json::as_u64) == Some(0)
-        {
-            break;
-        }
-        assert!(Instant::now() < deadline, "recovered job never finished");
-        std::thread::sleep(Duration::from_millis(20));
-    }
-
-    // The interrupted job's artifact is now served as a cache hit...
-    let mut req = submit_req("gzip", "slice2", LIMIT, "after");
-    req.set("seed", Json::from(2u64));
-    let (res, _) = submit(&mut client, &req);
-    assert_eq!(response_type(&res), "result", "{res}");
-    assert_eq!(
-        res.get("cached").and_then(Json::as_bool),
-        Some(true),
-        "{res}"
-    );
-    // ...and equals a fresh simulation of the same key elsewhere.
-    let ts = TestServer::start("recover-clean", |_| {});
-    let mut clean = ts.connect();
-    let (clean_res, _) = submit(&mut clean, &req);
-    assert_eq!(artifact_text(&res), artifact_text(&clean_res));
-
-    // The finished job was not re-run (simulations stayed at 1).
-    let s = stats_of(&mut client);
-    assert_eq!(s.get("simulations").and_then(Json::as_u64), Some(1), "{s}");
-
-    server.shutdown();
-    server.join();
-    let _ = std::fs::remove_dir_all(&cache_dir);
 }
 
 // ---- drain shutdown ---------------------------------------------------------

@@ -196,10 +196,14 @@ fn starved_machine_terminates_via_watchdog() {
 fn degenerate_configs_are_typed_errors() {
     let p = program("bzip");
     type Breaker = fn(&mut MachineConfig);
-    let cases: [(&str, Breaker); 3] = [
+    let cases: [(&str, Breaker); 6] = [
         ("width", |c| c.width = 0),
         ("lsq_size", |c| c.lsq_size = 0),
         ("memory.l1d", |c| c.memory.l1d.size_bytes = 48 * 1024),
+        // Sizes whose up-front allocation would abort the process.
+        ("width", |c| c.width = u32::MAX),
+        ("ruu_size", |c| c.ruu_size = 1 << 40),
+        ("lsq_size", |c| c.lsq_size = 1 << 40),
     ];
     for (field, breaker) in cases {
         let mut cfg = MachineConfig::slice2_full();

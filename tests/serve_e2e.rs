@@ -129,7 +129,7 @@ fn e2e_submit_stream_and_cache_hit_byte_identity() {
     ping.set("op", "ping".into());
     let pong = client.request(&ping).expect("pong");
     assert_eq!(response_type(&pong), "pong");
-    assert_eq!(pong.get("protocol").and_then(Json::as_u64), Some(1));
+    assert_eq!(pong.get("protocol").and_then(Json::as_u64), Some(2));
 
     // Fresh 20k-instruction job with the event stream on.
     let mut req = submit_req("gzip", "slice2", 20_000, "job1");
@@ -357,6 +357,38 @@ fn failure_paths_keep_the_daemon_serving() {
     // The daemon is still healthy after all of the above.
     let (ok, _) = submit(&mut client, &submit_req("gzip", "ideal", 10_000, "healthy"));
     assert_eq!(response_type(&ok), "result", "{ok}");
+}
+
+#[test]
+fn out_of_range_overrides_are_typed_errors() {
+    let ts = TestServer::start("overrides", |_| {});
+    let mut client = ts.connect();
+    let with_override = |key: &str, value: u64| {
+        let mut req = submit_req("gzip", "ideal", 2_000, key);
+        let mut o = Json::object();
+        o.set(key, Json::from(value));
+        req.set("overrides", o);
+        req
+    };
+
+    // A width past u32 is refused, not wrapped to width 1.
+    let (err, _) = submit(&mut client, &with_override("width", (1 << 32) + 1));
+    assert_eq!(
+        err.get("kind").and_then(Json::as_str),
+        Some("bad_request"),
+        "{err}"
+    );
+    // An RUU too large to allocate is a typed config error, not an abort.
+    let (err, _) = submit(&mut client, &with_override("ruu_size", 1 << 40));
+    assert_eq!(
+        err.get("kind").and_then(Json::as_str),
+        Some("invalid_config"),
+        "{err}"
+    );
+
+    let mut ping = Json::object();
+    ping.set("op", "ping".into());
+    assert_eq!(response_type(&client.request(&ping).expect("pong")), "pong");
 }
 
 #[test]
